@@ -15,12 +15,13 @@ JSON and restored with bit-identical continuation.
 """
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 from scipy.special import betaincinv
 
 from .integrators import build_integrator
@@ -28,6 +29,7 @@ from .integrators import build_integrator
 __all__ = [
     "AiseConfig",
     "AiseFilter",
+    "InvalidSample",
     "StepDiagnostics",
     "NumericalInvariantError",
     "benchmark_config",
@@ -42,6 +44,14 @@ class NumericalInvariantError(RuntimeError):
     def __init__(self, step, message):
         self.step = step
         super().__init__(f"step {step}: {message}")
+
+
+class InvalidSample(NumericalInvariantError, ValueError):
+    """A measurement was not a finite number; the filter state is unchanged."""
+
+
+# The LAPACK routines behind cho_factor/cho_solve, without their wrappers.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -166,11 +176,13 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     z = np.asarray(z_history, dtype=float)
     if len(z) < tau_d:
         return 1.0
-    var_n = float(np.var(z[-tau_n:], ddof=1))
-    var_d = float(np.var(z[-tau_d:], ddof=1))
+    # np.var(ddof=1) without its wrapper: the same sums over the same views.
+    dev_n = z[-tau_n:] - np.add.reduce(z[-tau_n:]) / tau_n
+    dev_d = z[-tau_d:] - np.add.reduce(z[-tau_d:]) / tau_d
+    var_d = float(np.add.reduce(dev_d * dev_d)) / (tau_d - 1)
     if var_d <= 0.0:
         return 1.0
-    ratio = var_n / var_d
+    ratio = float(np.add.reduce(dev_n * dev_n)) / (tau_n - 1) / var_d
     if f_crit is None:
         f_crit = f_critical(tau_n - 1, tau_d - 1)
     if ratio > f_crit:
@@ -212,6 +224,8 @@ class AiseFilter:
         self.theta = np.zeros(lt)
         # RLS covariance kept in information form; P_rls is its inverse.
         self.p_inv = cfg.r_theta * np.eye(lt)
+        # rls_update scratch: not part of the state, never aliases p_inv.
+        self._p_spare, self._outer = np.empty((lt, lt)), np.empty((lt, lt))
         self.x_fc = np.zeros(n)
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
@@ -288,47 +302,54 @@ class AiseFilter:
         return phi_f, dhat_f
 
     def _factor_information(self, p_inv):
-        """Cholesky of the information matrix, tolerating roundoff-scale asymmetry.
+        """Lower Cholesky factor of the information matrix, with one lifted retry.
 
         Exact arithmetic keeps the matrix positive definite (it is a sum of a
-        scaled positive-definite matrix and outer products), so a failed
-        factorization at machine-precision scale is retried once with an
-        epsilon-sized diagonal lift. A failure beyond that scale is a genuine
+        scaled positive-definite matrix and outer products), and every term is
+        symmetric elementwise, so factoring its lower triangle loses nothing.
+        A failed factorization at machine-precision scale is retried once with
+        an epsilon-sized diagonal lift. A failure beyond that scale is a genuine
         invariant violation and raises.
         """
-        try:
-            return cho_factor(p_inv, lower=True), p_inv
-        except LinAlgError:
-            pass
+        c, info = _POTRF(p_inv, lower=1, clean=0)
+        if info == 0:
+            return c, p_inv
         lift = 1e-12 * float(np.max(np.diag(p_inv)))
-        if lift <= 0:
-            raise NumericalInvariantError(
-                self.k, "RLS information matrix lost positive definiteness"
-            )
-        lifted = p_inv + lift * np.eye(len(p_inv))
-        try:
-            return cho_factor(lifted, lower=True), lifted
-        except LinAlgError:
-            raise NumericalInvariantError(
-                self.k, "RLS information matrix lost positive definiteness"
-            ) from None
+        if lift > 0:
+            p_inv = p_inv + lift * np.eye(len(p_inv))
+            c, info = _POTRF(p_inv, lower=1, clean=0)
+        if info != 0:
+            raise NumericalInvariantError(self.k, "RLS information matrix lost positive definiteness")
+        return c, p_inv
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
-        """Forgetting/resetting RLS step on the information matrix and coefficients."""
+        """Forgetting/resetting RLS step on the information matrix and coefficients.
+
+        The new matrix is built in a reused buffer and swapped in once it
+        factors, so a failure changes nothing; callers that keep p_inv must copy it.
+        """
         cfg = self.cfg
-        p_inv_new = lam * self.p_inv if lam != 1.0 else self.p_inv.copy()
+        p_old, p_new, outer = self.p_inv, self._p_spare, self._outer
+        if p_new.shape != p_old.shape:  # p_inv was assigned from outside
+            p_new, outer = np.empty(p_old.shape), np.empty(p_old.shape)
+            self._outer = outer
+        np.multiply(p_old, lam, out=p_new)  # exact copy when lam == 1
         if lam != 1.0:
-            p_inv_new += (1.0 - lam) * self._r_inf_mat
-        p_inv_new += cfg.r_z * np.outer(phi_f, phi_f)
-        p_inv_new += cfg.r_d * np.outer(phi, phi)
-        p_inv_new = 0.5 * (p_inv_new + p_inv_new.T)
+            p_new += (1.0 - lam) * self._r_inf_mat
+        for weight, v in ((cfg.r_z, phi_f), (cfg.r_d, phi)):
+            np.multiply.outer(v, v, out=outer)
+            outer *= weight
+            p_new += outer
         rhs = cfg.r_z * (z - dhat_f + float(phi_f @ self.theta)) * phi_f
         rhs += cfg.r_d * float(phi @ self.theta) * phi
-        factor, p_inv_new = self._factor_information(p_inv_new)
-        self.theta = self.theta - cho_solve(factor, rhs)
-        self.p_inv = p_inv_new
+        if not (np.isfinite(p_new).all() and np.isfinite(rhs).all()):
+            raise NumericalInvariantError(self.k, "RLS update is not finite")
+        factor, p_new = self._factor_information(p_new)
+        # potrs reports only illegal arguments, which the shapes here rule out.
+        self.theta = self.theta - _POTRS(factor, rhs, lower=1)[0]
+        self.p_inv, self._p_spare = p_new, p_old
 
-    def adapt_noise_covariances(self):
+    def adapt_noise_covariances(self, forecast_var=None):
         """Choose the process-noise level and residual-noise variance for this step.
 
         Before the warmup horizon the configured initial level is used with
@@ -358,8 +379,8 @@ class AiseFilter:
         if self.k < self.adapt_start:
             s_hat = self.residual_variance()
             return self.cfg.eta_init, (s_hat if s_hat is not None else 1.0)
-        a_row = self.model.A[0, :]
-        forecast_var = float(a_row @ self.P_da @ a_row)
+        if forecast_var is None:
+            forecast_var = self._forecast_var()
         s_hat = self._res_m2 / (self._res_count - 1)
         surplus = s_hat - forecast_var - self._eta_grid
         positive = surplus > 0.0
@@ -378,6 +399,9 @@ class AiseFilter:
             return float(self._eta_grid[idx]), float(surplus[idx])
         idx = int(np.argmin(np.abs(surplus)))
         return float(self._eta_grid[idx]), 0.0
+
+    def _forecast_var(self):
+        return float(self.model.A[0] @ self.P_da @ self.model.A[0])
 
     def data_assimilate(self, z, eta, v2):
         """Measurement update and forecast-covariance propagation.
@@ -404,7 +428,7 @@ class AiseFilter:
                 new_stack[1:] = abar @ stack[:-1]
             self.prodstack = new_stack
         P_fc = A @ self.P_da @ A.T
-        P_fc[np.diag_indices_from(P_fc)] += eta
+        P_fc.flat[:: len(P_fc) + 1] += eta
         self.P_fc = 0.5 * (P_fc + P_fc.T)
         return self.x_da, gain, self.P_da, self.P_fc
 
@@ -416,6 +440,8 @@ class AiseFilter:
         """Process one measurement; returns the derivative estimate for this step."""
         cfg = self.cfg
         y = float(y)
+        if not math.isfinite(y):
+            raise InvalidSample(self.k, f"measurement {y!r} is not finite")
         z = float(self.x_fc[0]) - y
 
         # Running residual statistics over every step so far.
@@ -437,27 +463,21 @@ class AiseFilter:
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
 
-        eta, v2 = self.adapt_noise_covariances()
-        if self.k >= self.adapt_start:
-            a_row = self.model.A[0, :]
-            forecast_var = float(a_row @ self.P_da @ a_row)
-            s_hat = self._res_m2 / (self._res_count - 1)
-        else:
-            forecast_var = None
-            s_hat = self.residual_variance()
+        forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
+        eta, v2 = self.adapt_noise_covariances(forecast_var)
         self.eta_k, self.v2_k = eta, v2
 
         self.data_assimilate(z, eta, v2)
         self.x_fc = self.model.A @ self.x_da + self.model.B * d_hat
 
         self.dhat_hist.appendleft(d_hat)
-        self.phi_hist = np.roll(self.phi_hist, 1, axis=0)
+        self.phi_hist[1:] = self.phi_hist[:-1]
         self.phi_hist[0] = phi
 
         self.lambda_k = lam
         self.last = StepDiagnostics(
             k=self.k, z=z, d_hat=d_hat, phi=phi, phi_f=phi_f, dhat_f=dhat_f,
-            lam=lam, eta=eta, v2=v2, s_hat=s_hat, forecast_var=forecast_var,
+            lam=lam, eta=eta, v2=v2, s_hat=self.residual_variance(), forecast_var=forecast_var,
         )
         self.k += 1
         return d_hat
@@ -472,16 +492,8 @@ class AiseFilter:
 
     def to_json(self):
         """Serialize config and full state; restoring continues bit-identically."""
-        cfg = self.cfg
         state = {
-            "config": {
-                "order": cfg.order, "t_s": cfg.t_s, "n_e": cfg.n_e, "n_f": cfg.n_f,
-                "r_z": cfg.r_z, "r_d": cfg.r_d, "r_theta": cfg.r_theta, "r_inf": cfg.r_inf,
-                "eta_init": cfg.eta_init, "eta_l": cfg.eta_l, "eta_u": cfg.eta_u,
-                "beta": cfg.beta, "tau_n": cfg.tau_n, "tau_d": cfg.tau_d,
-                "alpha_vrf": cfg.alpha_vrf, "eta_grid_points": cfg.eta_grid_points,
-                "adapt_start": cfg.adapt_start, "eta_rule": cfg.eta_rule,
-            },
+            "config": asdict(self.cfg),
             "k": self.k,
             "theta": self.theta.tolist(),
             "p_inv": self.p_inv.tolist(),

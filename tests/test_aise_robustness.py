@@ -1,0 +1,130 @@
+"""Bad samples, checkpoint restore and the variance-ratio arithmetic of AiseFilter."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aisepred.aise import (
+    AiseFilter,
+    InvalidSample,
+    NumericalInvariantError,
+    benchmark_config,
+    f_critical,
+    vrf_lambda,
+)
+
+N_STREAM = 160
+
+
+def bursty_stream(seed, n=N_STREAM):
+    """Noisy circular motion whose noise grows 30x on the last 3 of every 40 samples."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.01
+    clean = 5.0 * np.cos(2.0 * t)
+    noise = 0.1 * rng.normal(size=n)
+    noise[np.arange(n) % 40 >= 37] *= 30.0
+    return clean + noise
+
+
+def test_bursty_stream_fires_forgetting():
+    # The stream used below exercises the lambda < 1 path of the RLS update.
+    f = AiseFilter(benchmark_config(1))
+    lams = []
+    for y in bursty_stream(0):
+        f.step(y)
+        lams.append(f.lambda_k)
+    assert min(lams) < 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bad_sample_leaves_state_unchanged(order, bad):
+    ys = bursty_stream(1)
+    f = AiseFilter(benchmark_config(order))
+    twin = AiseFilter(benchmark_config(order))
+    for y in ys[:100]:
+        f.step(y)
+        twin.step(y)
+    snapshot = f.to_json()
+    with pytest.raises(InvalidSample) as info:
+        f.step(bad)
+    # Callers that guard against ValueError keep catching it.
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, NumericalInvariantError)
+    assert info.value.step == 100
+    assert f.to_json() == snapshot
+    for y in ys[100:]:
+        assert f.step(y) == twin.step(y)
+    assert f.to_json() == twin.to_json()
+
+
+def test_failed_factorization_leaves_coefficients_unchanged():
+    f = AiseFilter(benchmark_config(1))
+    for y in bursty_stream(2)[:60]:
+        f.step(y)
+    f.p_inv = -f.p_inv  # no diagonal lift can make this positive definite
+    p_inv, theta = f.p_inv.copy(), f.theta.copy()
+    phi = np.ones(len(theta))
+    with pytest.raises(NumericalInvariantError):
+        f.rls_update(1.0, phi, phi, 0.5, 0.0)
+    np.testing.assert_array_equal(f.p_inv, p_inv)
+    np.testing.assert_array_equal(f.theta, theta)
+
+
+def vrf_lambda_reference(z, tau_n, tau_d, alpha_vrf, f_crit):
+    """The variance-ratio test written with np.var(ddof=1)."""
+    z = np.asarray(z, dtype=float)
+    if len(z) < tau_d:
+        return 1.0
+    var_n = float(np.var(z[-tau_n:], ddof=1))
+    var_d = float(np.var(z[-tau_d:], ddof=1))
+    if var_d <= 0.0:
+        return 1.0
+    ratio = var_n / var_d
+    if ratio > f_crit:
+        return 1.0 / (1.0 + alpha_vrf * (ratio - f_crit))
+    return 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+def test_vrf_lambda_matches_np_var_bit_for_bit(scale):
+    rng = np.random.default_rng(int(-np.log10(scale)) + 10)
+    f_crit = f_critical(4, 24)
+    rejected = 0
+    for _ in range(500):
+        z = scale * (rng.uniform(-3, 3) + rng.normal(size=40))
+        z[-rng.integers(1, 6):] *= rng.uniform(1.0, 10.0)
+        for view in (z, z[::-1], z[3:28], z[28:3:-1]):
+            # alpha = 1 and a low critical value make lambda sensitive to
+            # the last bit of either variance.
+            for crit in (f_crit, 0.25):
+                lam = vrf_lambda(view, 5, 25, 1.0, crit)
+                assert lam == vrf_lambda_reference(view, 5, 25, 1.0, crit)
+                rejected += lam < 1.0
+    assert rejected > 1000
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**16),
+       split=st.integers(0, N_STREAM))
+def test_restore_at_any_step_continues_bit_identically(order, seed, split):
+    ys = bursty_stream(seed)
+    reference = AiseFilter(benchmark_config(order))
+    expected = [reference.step(y) for y in ys]
+
+    f = AiseFilter(benchmark_config(order))
+    got = [f.step(y) for y in ys[:split]]
+    payload = f.to_json()
+    assert not any("spare" in key or "outer" in key for key in json.loads(payload))
+    restored = AiseFilter.from_json(payload)
+    # Step the original and the restored filter in turn: any buffer shared
+    # between them would make one corrupt the other.
+    for y in ys[split:]:
+        got.append(restored.step(y))
+        assert f.step(y) == got[-1]
+    assert got == expected
+    assert restored.to_json() == reference.to_json() == f.to_json()
