@@ -263,28 +263,6 @@ class AiseFilter:
     # Individual operations (composed by step)
     # ------------------------------------------------------------------
 
-    def _build_phi(self):
-        cfg = self.cfg
-        phi = np.empty(cfg.l_theta)
-        phi[: cfg.n_e] = list(islice(self.dhat_hist, cfg.n_e))
-        phi[cfg.n_e :] = list(islice(self.z_hist, cfg.n_e + 1))
-        return phi
-
-    def estimate_input(self):
-        """Current input estimate: regressor of past estimates and residuals times theta."""
-        return float(self._build_phi() @ self.theta)
-
-    def forecast(self, d_hat, y):
-        """One forecast cycle: (next forecast state, forecast output, residual).
-
-        Pure; step() applies the same expressions at the appropriate points of
-        its cycle (residual first, state advance last).
-        """
-        y_fc = float(self.x_fc[0])
-        z = y_fc - float(y)
-        x_next = self.model.A @ self.x_da + self.model.B * float(d_hat)
-        return x_next, y_fc, z
-
     def _filter_weights(self):
         """Impulse-response weights of the residual-to-input closed loop, lags 1..n_f."""
         H = np.empty(self.cfg.n_f)
@@ -444,24 +422,31 @@ class AiseFilter:
             raise InvalidSample(self.k, f"measurement {y!r} is not finite")
         z = float(self.x_fc[0]) - y
 
-        # Running residual statistics over every step so far.
-        self._res_count += 1
-        delta = z - self._res_mean
-        self._res_mean += delta / self._res_count
-        self._res_m2 += delta * (z - self._res_mean)
-        self.z_hist.appendleft(z)
-
-        phi = self._build_phi()
+        # phi and the variance-ratio window put z ahead of the stored history, which is
+        # committed only after the RLS update succeeds: a failed step changes nothing.
+        phi = np.empty(cfg.l_theta)
+        phi[: cfg.n_e] = list(islice(self.dhat_hist, cfg.n_e))
+        phi[cfg.n_e] = z
+        phi[cfg.n_e + 1 :] = list(islice(self.z_hist, cfg.n_e))
         d_hat = float(phi @ self.theta)
         phi_f, dhat_f = self.filter_regressor()
 
         if self.k < cfg.tau_d:
             lam = 1.0
         else:
-            recent = np.fromiter(islice(self.z_hist, cfg.tau_d), float, cfg.tau_d)
+            recent = np.empty(cfg.tau_d)  # newest first
+            recent[0] = z
+            recent[1:] = np.fromiter(islice(self.z_hist, cfg.tau_d - 1), float, cfg.tau_d - 1)
             lam = vrf_lambda(recent[::-1], cfg.tau_n, cfg.tau_d, cfg.alpha_vrf, self._f_crit)
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
+
+        # Running residual statistics over every step so far.
+        self._res_count += 1
+        delta = z - self._res_mean
+        self._res_mean += delta / self._res_count
+        self._res_m2 += delta * (z - self._res_mean)
+        self.z_hist.appendleft(z)
 
         forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
         eta, v2 = self.adapt_noise_covariances(forecast_var)

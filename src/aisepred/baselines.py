@@ -52,7 +52,14 @@ class ButterworthCascade:
         return float(y[0])
 
     def filter(self, xs):
-        return np.array([self.step(x) for x in np.asarray(xs, dtype=float)])
+        """Filter a whole stream in one call; equals step() sample by sample, bit for bit."""
+        xs = np.asarray(xs, dtype=float)
+        if not len(xs):
+            return np.empty(0)
+        if self._zi is None:
+            self._zi = self._zi_unit * xs[0]
+        ys, self._zi = sosfilt(self.sections, xs, zi=self._zi)
+        return ys
 
     def frequency_response(self, w):
         """Complex response H(e^{jw}) evaluated directly from the section coefficients."""
@@ -87,6 +94,24 @@ class BdbDifferentiator:
         self._y1 = y
         self.filtered = y
         return v, a
+
+    def run(self, ps):
+        """Whole-stream step(): (velocity, acceleration, filtered position) arrays.
+
+        The backward differences are index shifts of the filtered stream; the
+        result equals step() stacked sample by sample, bit for bit.
+        """
+        y = self.cascade.filter(ps)
+        if not len(y):
+            return y, y, y
+        if self._y1 is None:
+            self._y1 = self._y2 = y[0]
+        ext = np.concatenate(([self._y2, self._y1], y))  # ext[k + 2] = y[k]
+        v = (y - ext[1:-1]) / self.t_s
+        a = (y - 2.0 * ext[1:-1] + ext[:-2]) / self.t_s**2
+        self._y2, self._y1 = float(ext[-2]), float(ext[-1])
+        self.filtered = self._y1
+        return v, a, y
 
 
 def _abg_riccati(gamma_index, t_s, tol=1e-12, max_iter=10**6):
@@ -174,3 +199,8 @@ class AbgFilter:
         self.v = v_pred + (self.beta / t_s) * r
         self.a = a_pred + (2.0 * self.gamma / t_s**2) * r
         return self.p, self.v, self.a
+
+    def run(self, ps):
+        """Step through a whole stream; returns (position, velocity, acceleration) arrays."""
+        rows = [self.step(p) for p in np.asarray(ps, dtype=float).tolist()]
+        return np.array(rows).reshape(-1, 3).T

@@ -9,12 +9,10 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .aise import AiseFilter, benchmark_config
-from .baselines import AbgFilter, BdbDifferentiator
-from .harness import ExperimentConfig, load_config, normalize_method, run_experiment
+from .harness import (METHOD_SOURCES, ExperimentConfig, estimate, load_config,
+                      normalize_method, run_experiment)
 from .oracles import compute_goldens
 from .prediction import DerivativeEstimate, predict
 from .scenarios import format_csv_row, read_positions_csv, read_timeseries_csv
@@ -101,37 +99,12 @@ def _cmd_predict(args):
     method = normalize_method(args.method)
     t, P = read_positions_csv(args.csv_in)
     t_s = float(t[1] - t[0])
-    n = len(P)
-    if method.startswith("AISE/"):
-        orders = (1, 2, 3) if method == "AISE/FS" else (1, 2)
-        bank = {o: [AiseFilter(benchmark_config(o, t_s)) for _ in range(3)] for o in orders}
-        v = np.zeros(3)
-        a = np.zeros(3)
-        j = np.zeros(3)
-        for k in range(n):
-            for ax in range(3):
-                v[ax] = bank[1][ax].step(P[k, ax])
-                a[ax] = bank[2][ax].step(P[k, ax])
-                if 3 in bank:
-                    j[ax] = bank[3][ax].step(P[k, ax])
-        estimates = DerivativeEstimate(v=v, a=a, j=j if method == "AISE/FS" else None)
-    elif method == "BDB/va":
-        bank = [BdbDifferentiator(t_s) for _ in range(3)]
-        v = np.zeros(3)
-        a = np.zeros(3)
-        for k in range(n):
-            for ax in range(3):
-                v[ax], a[ax] = bank[ax].step(P[k, ax])
-        estimates = DerivativeEstimate(v=v, a=a)
-    else:
-        bank = [AbgFilter(args.tracking_index, t_s) for _ in range(3)]
-        v = np.zeros(3)
-        a = np.zeros(3)
-        for k in range(n):
-            for ax in range(3):
-                _, v[ax], a[ax] = bank[ax].step(P[k, ax])
-        estimates = DerivativeEstimate(v=v, a=a)
-    trace = predict(method, P[-1], estimates, args.horizon, t_s, anchor_step=n - 1)
+    config = ExperimentConfig(t_s=t_s, tracking_index=args.tracking_index)
+    est = estimate(P, t_s, config, METHOD_SOURCES[method])
+    family = method.split("/")[0].lower()
+    estimates = DerivativeEstimate(v=est[f"{family}_v"][-1], a=est[f"{family}_a"][-1],
+                                   j=est["aise_j"][-1] if method == "AISE/FS" else None)
+    trace = predict(method, P[-1], estimates, args.horizon, t_s, anchor_step=len(P) - 1)
     out = _open_out(args.out)
     try:
         out.write("l,x,y,z\n")

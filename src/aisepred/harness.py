@@ -1,8 +1,10 @@
 """End-to-end experiment runner for the two benchmark scenarios.
 
-Streams noisy per-axis measurements into the configured estimator banks
-(three derivative channels per axis, plus the two baselines), emits a
-prediction trace from every anchor step, and scores horizon-endpoint errors
+A run has three phases. estimate() runs the configured estimators (AISE
+orders 1-3 per axis, plus the two baselines) over the whole noisy
+measurement stream, one channel at a time; with truth_derivatives the exact
+derivatives stand in for them. Prediction then anchors a trace at every
+step in [k0, n_steps - horizon], and rmse() scores the horizon endpoints
 against noiseless truth. Runs are deterministic for a fixed config and seed:
 repeated runs produce byte-identical artifacts.
 """
@@ -11,7 +13,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,10 +25,12 @@ from .prediction import METHODS, DerivativeEstimate, predict
 from .scenarios import SCENARIOS, add_noise, format_csv_row, read_positions_csv, truth_arrays
 
 __all__ = [
+    "METHOD_SOURCES",
     "ExperimentConfig",
     "RmseReport",
     "normalize_method",
     "rmse",
+    "estimate",
     "run_experiment",
     "config_to_dict",
     "config_from_dict",
@@ -34,6 +38,14 @@ __all__ = [
 ]
 
 _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
+
+# The estimate() sources each prediction method reads.
+METHOD_SOURCES = {
+    "AISE/va": ("aise_v", "aise_a"),
+    "AISE/FS": ("aise_v", "aise_a", "aise_j"),
+    "BDB/va": ("bdb",),
+    "ABG/va": ("abg",),
+}
 
 _METHOD_ALIASES = {
     "aise-va": "AISE/va",
@@ -165,6 +177,40 @@ def _load_scenario(config):
     return P, V, A, J, config.n_steps, config.t_s
 
 
+def estimate(measurements, t_s, config, sources):
+    """Run the requested estimators over a whole (N, 3) measurement stream.
+
+    sources names what to run: "aise_v", "aise_a", "aise_j" (AISE orders 1-3,
+    tuned by config.aise_config), "bdb" and "abg" (the baselines at sample
+    time t_s). Returns (N, 3) arrays: aise_v/a/j, aise_p (the order-1
+    filter's assimilated position), bdb_v/a/p and abg_p/v/a. The channels are
+    independent, so each runs over its whole column in turn, with the same
+    bits as a sample-by-sample interleaving.
+    """
+    measurements = np.asarray(measurements, dtype=float)
+    est = {}
+    for order, key in enumerate(("aise_v", "aise_a", "aise_j"), start=1):
+        if key not in sources:
+            continue
+        out = est[key] = np.empty(measurements.shape)
+        if order == 1:
+            pos = est["aise_p"] = np.empty(measurements.shape)
+        for ax, column in enumerate(measurements.T):
+            filt = AiseFilter(config.aise_config(order))
+            for k, y in enumerate(column.tolist()):
+                out[k, ax] = filt.step(y)
+                if order == 1:
+                    pos[k, ax] = filt.x_da[0]
+    if "bdb" in sources:
+        est["bdb_v"], est["bdb_a"], est["bdb_p"] = np.stack([
+            BdbDifferentiator(t_s, config.butterworth_order, config.butterworth_cutoff).run(c)
+            for c in measurements.T], axis=2)
+    if "abg" in sources:
+        est["abg_p"], est["abg_v"], est["abg_a"] = np.stack(
+            [AbgFilter(config.tracking_index, t_s).run(c) for c in measurements.T], axis=2)
+    return est
+
+
 def run_experiment(config, out_dir=None):
     """Run one experiment; returns the RMSE report and optionally writes artifacts.
 
@@ -176,136 +222,51 @@ def run_experiment(config, out_dir=None):
     sigma = config.resolved_sigma()
     measurements = add_noise(P[: n_steps + 1], sigma, config.seed)
 
-    methods = config.methods
-    use_aise = any(m.startswith("AISE/") for m in methods) and not config.truth_derivatives
-    use_bdb = "BDB/va" in methods and not config.truth_derivatives
-    use_abg = "ABG/va" in methods and not config.truth_derivatives
-    want_frenet = "AISE/FS" in methods
-
-    n_rows = n_steps + 1
-    est = {}
-    if use_aise or config.truth_derivatives:
-        est["aise_v"] = np.zeros((n_rows, 3))
-        est["aise_a"] = np.zeros((n_rows, 3))
-        est["aise_j"] = np.zeros((n_rows, 3))
-    if use_bdb:
-        est["bdb_v"] = np.zeros((n_rows, 3))
-        est["bdb_a"] = np.zeros((n_rows, 3))
-        est["bdb_p"] = np.zeros((n_rows, 3))
-    if use_abg:
-        est["abg_v"] = np.zeros((n_rows, 3))
-        est["abg_a"] = np.zeros((n_rows, 3))
-        est["abg_p"] = np.zeros((n_rows, 3))
-    if want_frenet:
-        frenet_params = np.full((n_rows, 3), np.nan)  # columns: curvature, torsion, speed
-        fs_degenerate = np.zeros(n_rows, dtype=bool)
-
-    aise_bank = None
-    if use_aise:
-        aise_bank = {
-            order: [AiseFilter(config.aise_config(order)) for _ in range(3)]
-            for order in (1, 2, 3)
-        }
-        aise_pos = np.zeros((n_rows, 3))
-    bdb_bank = (
-        [BdbDifferentiator(t_s, config.butterworth_order, config.butterworth_cutoff)
-         for _ in range(3)]
-        if use_bdb else None
-    )
-    abg_bank = [AbgFilter(config.tracking_index, t_s) for _ in range(3)] if use_abg else None
+    if config.truth_derivatives:
+        est = {"aise_v": V, "aise_a": A, "aise_j": J}
+    else:
+        sources = {s for m in config.methods for s in METHOD_SOURCES[m]}
+        if "aise_v" in sources:
+            sources.add("aise_j")  # trace.csv carries all three AISE orders
+        est = estimate(measurements, t_s, config, sources)
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
-    traces = {m: [] for m in methods}
-
-    for k in range(n_rows):
-        m_k = measurements[k]
-        if config.truth_derivatives:
-            est["aise_v"][k], est["aise_a"][k], est["aise_j"][k] = V[k], A[k], J[k]
-        if use_aise:
-            for ax in range(3):
-                est["aise_v"][k, ax] = aise_bank[1][ax].step(m_k[ax])
-                est["aise_a"][k, ax] = aise_bank[2][ax].step(m_k[ax])
-                est["aise_j"][k, ax] = aise_bank[3][ax].step(m_k[ax])
-                aise_pos[k, ax] = aise_bank[1][ax].x_da[0]
-        if use_bdb:
-            for ax in range(3):
-                v, a = bdb_bank[ax].step(m_k[ax])
-                est["bdb_v"][k, ax] = v
-                est["bdb_a"][k, ax] = a
-                est["bdb_p"][k, ax] = bdb_bank[ax].filtered
-        if use_abg:
-            for ax in range(3):
-                p, v, a = abg_bank[ax].step(m_k[ax])
-                est["abg_p"][k, ax] = p
-                est["abg_v"][k, ax] = v
-                est["abg_a"][k, ax] = a
-
-        if want_frenet:
-            try:
-                speed, curvature, torsion = scalar_params(
-                    est["aise_v"][k], est["aise_a"][k], est["aise_j"][k]
-                )
-                frenet_params[k] = (curvature, torsion, speed)
-            except DegenerateGeometry:
-                fs_degenerate[k] = True
-
-        if first_anchor <= k <= last_anchor:
-            for method in methods:
-                if config.truth_derivatives or method.startswith("AISE/"):
-                    v_hat, a_hat = est["aise_v"][k], est["aise_a"][k]
-                    j_hat = est["aise_j"][k]
-                    pos_est = aise_pos[k] if use_aise else m_k
-                elif method == "BDB/va":
-                    v_hat, a_hat, j_hat = est["bdb_v"][k], est["bdb_a"][k], None
-                    pos_est = est["bdb_p"][k]
-                else:
-                    v_hat, a_hat, j_hat = est["abg_v"][k], est["abg_a"][k], None
-                    pos_est = est["abg_p"][k]
-                anchor = pos_est if config.anchor_on_estimate else m_k
-                estimates = DerivativeEstimate(
-                    v=v_hat, a=a_hat, j=j_hat if method == "AISE/FS" else None
-                )
-                traces[method].append(
-                    predict(method, anchor, estimates, config.horizon, t_s, anchor_step=k)
-                )
+    traces = {}
+    for method in config.methods:
+        family = "aise" if config.truth_derivatives else method.split("/")[0].lower()
+        v, a = est[f"{family}_v"], est[f"{family}_a"]
+        j = est["aise_j"] if method == "AISE/FS" else None
+        anchors = measurements
+        if config.anchor_on_estimate:  # injected truth has no position estimate
+            anchors = est.get(f"{family}_p", measurements)
+        traces[method] = [
+            predict(method, anchors[k],
+                    DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
+                    config.horizon, t_s, anchor_step=k)
+            for k in range(first_anchor, last_anchor + 1)
+        ]
 
     report_methods = {
-        m: rmse(P[: n_rows], traces[m], config.horizon, config.k0, config.rmse_form)
-        for m in methods
+        m: rmse(P[: n_steps + 1], traces[m], config.horizon, config.k0, config.rmse_form)
+        for m in config.methods
     }
-    n_tilde = last_anchor - first_anchor + 1
     resolved = config_to_dict(config)
     resolved["sigma"] = sigma
     report = RmseReport(
         methods=report_methods,
-        n_tilde=n_tilde,
+        n_tilde=last_anchor - first_anchor + 1,
         runtime_s=time.perf_counter() - start,
         config=resolved,
     )
 
     if out_dir is not None:
-        _write_artifacts(out_dir, config, report, n_steps, t_s, P, measurements, est,
-                         frenet_params if want_frenet else None,
-                         fs_degenerate if want_frenet else None, traces)
+        _write_artifacts(out_dir, config, report, n_steps, t_s, P, measurements, est, traces)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Config serialization
 # ---------------------------------------------------------------------------
-
-
-def _aise_dict(cfg):
-    if cfg is None:
-        return None
-    return {
-        "order": cfg.order, "t_s": cfg.t_s, "n_e": cfg.n_e, "n_f": cfg.n_f,
-        "r_z": cfg.r_z, "r_d": cfg.r_d, "r_theta": cfg.r_theta, "r_inf": cfg.r_inf,
-        "eta_init": cfg.eta_init, "eta_l": cfg.eta_l, "eta_u": cfg.eta_u, "beta": cfg.beta,
-        "tau_n": cfg.tau_n, "tau_d": cfg.tau_d, "alpha_vrf": cfg.alpha_vrf,
-        "eta_grid_points": cfg.eta_grid_points, "adapt_start": cfg.adapt_start,
-        "eta_rule": cfg.eta_rule,
-    }
 
 
 def config_to_dict(config):
@@ -324,7 +285,7 @@ def config_to_dict(config):
         "truth_derivatives": config.truth_derivatives,
         "anchor_on_estimate": config.anchor_on_estimate,
         "aise": {
-            f"order{order}": _aise_dict(config.aise_config(order)) for order in (1, 2, 3)
+            f"order{order}": asdict(config.aise_config(order)) for order in (1, 2, 3)
         },
         "butterworth": {
             "order": config.butterworth_order,
@@ -373,8 +334,7 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 
-def _write_artifacts(out_dir, config, report, n_steps, t_s, truth, measurements, est,
-                     frenet_params, fs_degenerate, traces):
+def _write_artifacts(out_dir, config, report, n_steps, t_s, truth, measurements, est, traces):
     os.makedirs(out_dir, exist_ok=True)
     resolved = report.config
 
@@ -412,26 +372,26 @@ def _write_artifacts(out_dir, config, report, n_steps, t_s, truth, measurements,
 
     columns = ["step", "t"]
     columns += ["px", "py", "pz", "mx", "my", "mz"]
-    blocks = []
-    if "aise_v" in est:
-        blocks += [("aise_v", "aise_v"), ("aise_a", "aise_a"), ("aise_j", "aise_j")]
-    if "bdb_v" in est:
-        blocks += [("bdb_v", "bdb_v"), ("bdb_a", "bdb_a")]
-    if "abg_v" in est:
-        blocks += [("abg_v", "abg_v"), ("abg_a", "abg_a")]
-    for _, prefix in blocks:
-        columns += [f"{prefix}{ax}" for ax in ("x", "y", "z")]
-    if frenet_params is not None:
+    blocks = [key for key in ("aise_v", "aise_a", "aise_j", "bdb_v", "bdb_a", "abg_v", "abg_a")
+              if key in est]
+    for key in blocks:
+        columns += [f"{key}{ax}" for ax in ("x", "y", "z")]
+    want_frenet = "AISE/FS" in config.methods
+    if want_frenet:
         columns += ["kappa", "tau", "u", "fs_fallback"]
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
         fh.write(",".join(columns) + "\n")
         for k in range(n_steps + 1):
             row = [k, k * t_s, *truth[k], *measurements[k]]
-            for key, _ in blocks:
+            for key in blocks:
                 row.extend(est[key][k])
-            if frenet_params is not None:
-                row.extend(frenet_params[k])
-                row.append(bool(fs_degenerate[k]))
+            if want_frenet:
+                try:
+                    speed, curvature, torsion = scalar_params(
+                        est["aise_v"][k], est["aise_a"][k], est["aise_j"][k])
+                    row += [curvature, torsion, speed, False]
+                except DegenerateGeometry:
+                    row += [np.nan, np.nan, np.nan, True]
             fh.write(format_csv_row(row) + "\n")
 
     with open(os.path.join(out_dir, "predictions.csv"), "w") as fh:

@@ -79,15 +79,18 @@ def test_filter_keyword_construction():
 
 def test_estimate_input_zero_theta():
     f = make_filter()
-    f.z_hist.appendleft(1.0)
-    assert f.estimate_input() == 0.0
+    f.x_fc = np.array([1.0])
+    f.step(0.0)  # residual z = 1.0 enters the regressor
+    assert f.last.z == 1.0
+    assert f.last.d_hat == 0.0
 
 
 def test_estimate_input_single_tap():
     f = make_filter(n_e=2)
     f.dhat_hist.appendleft(1.0)  # phi[0] = 1
     f.theta = np.array([0.7, 0.0, 0.0, 0.0, 0.0])
-    assert f.estimate_input() == pytest.approx(0.7)
+    f.step(0.0)
+    assert f.last.d_hat == pytest.approx(0.7)
 
 
 def test_estimate_input_dot_product():
@@ -95,9 +98,11 @@ def test_estimate_input_dot_product():
     f = make_filter(n_e=1)
     f.dhat_hist.appendleft(0.5)
     f.z_hist.appendleft(1.0)
-    f.z_hist.appendleft(2.0)
+    f.x_fc = np.array([2.0])
     f.theta = np.array([0.1, 0.2, 0.3])
-    assert f.estimate_input() == pytest.approx(0.75)
+    f.step(0.0)  # z(k) = 2.0 - 0.0
+    np.testing.assert_array_equal(f.last.phi, [0.5, 2.0, 1.0])
+    assert f.last.d_hat == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +112,31 @@ def test_estimate_input_dot_product():
 
 def test_forecast_all_zero():
     f = make_filter()
-    x_next, y_fc, z = f.forecast(0.0, 0.0)
-    assert y_fc == 0.0 and z == 0.0
-    np.testing.assert_array_equal(x_next, [0.0])
+    f.step(0.0)
+    assert f.last.z == 0.0 and f.last.d_hat == 0.0
+    np.testing.assert_array_equal(f.x_fc, [0.0])
 
 
 def test_forecast_order1_hand_value():
+    # x_da = 2.0 (a zero residual leaves the forecast unchanged) and d_hat = 3.0
+    # give the next forecast 2.0 + t_s * 3.0.
     f = make_filter()
-    f.x_da = np.array([2.0])
-    x_next, _, _ = f.forecast(3.0, 0.0)
-    assert x_next[0] == pytest.approx(2.03)
+    f.x_fc = np.array([2.0])
+    f.dhat_hist.appendleft(1.0)
+    f.theta = np.zeros(f.cfg.l_theta)
+    f.theta[0] = 3.0
+    f.step(2.0)
+    assert f.last.z == 0.0 and f.last.d_hat == 3.0
+    np.testing.assert_array_equal(f.x_da, [2.0])
+    assert f.x_fc[0] == pytest.approx(2.03)
 
 
 def test_forecast_residual_definition():
+    # z = forecast output - measurement
     f = make_filter()
     f.x_fc = np.array([1.5])
-    _, y_fc, z = f.forecast(0.0, 1.0)
-    assert y_fc == 1.5
-    assert z == pytest.approx(0.5)
+    f.step(1.0)
+    assert f.last.z == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

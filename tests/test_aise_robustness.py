@@ -74,6 +74,27 @@ def test_failed_factorization_leaves_coefficients_unchanged():
     np.testing.assert_array_equal(f.theta, theta)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_failed_rls_update_leaves_step_state_unchanged(order):
+    # A step whose RLS update fails commits nothing: not the residual history,
+    # not the residual statistics. Restoring p_inv makes the retry match a twin.
+    ys = bursty_stream(2)
+    f = AiseFilter(benchmark_config(order))
+    twin = AiseFilter(benchmark_config(order))
+    for y in ys[:60]:
+        f.step(y)
+        twin.step(y)
+    good = f.p_inv
+    f.p_inv = -good  # no diagonal lift can make this positive definite
+    snapshot = f.to_json()
+    with pytest.raises(NumericalInvariantError):
+        f.step(0.5)
+    assert f.to_json() == snapshot
+    f.p_inv = good
+    assert f.step(0.5) == twin.step(0.5)
+    assert f.to_json() == twin.to_json()
+
+
 def vrf_lambda_reference(z, tau_n, tau_d, alpha_vrf, f_crit):
     """The variance-ratio test written with np.var(ddof=1)."""
     z = np.asarray(z, dtype=float)

@@ -104,6 +104,50 @@ def test_bdb_quadratic_acceleration():
     assert abs(a - g) / g < 0.01
 
 
+def bursty_positions(n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.01
+    noise = 0.1 * rng.normal(size=n)
+    noise[np.arange(n) % 40 >= 37] *= 30.0
+    return 5.0 * np.cos(2.0 * t) + noise
+
+
+def test_butterworth_filter_equals_step():
+    x = bursty_positions(300)
+    stepped = ButterworthCascade()
+    expected = [stepped.step(v) for v in x]
+    whole = ButterworthCascade()
+    np.testing.assert_array_equal(whole.filter(x[:100]), expected[:100])
+    np.testing.assert_array_equal(whole.filter(x[100:]), expected[100:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 500])
+def test_bdb_run_equals_stacked_step(n):
+    # The whole-stream differences equal step() sample by sample, bit for bit,
+    # from a fresh differentiator and when continuing after earlier samples.
+    x = bursty_positions(n + 3, seed=n)
+    ref = BdbDifferentiator(0.01)
+    rows = [(*ref.step(p), ref.filtered) for p in x]
+    v, a, filtered = np.array(rows).T
+    fresh = BdbDifferentiator(0.01)
+    for got, want in zip(fresh.run(x[:n]), (v[:n], a[:n], filtered[:n])):
+        np.testing.assert_array_equal(got, want)
+    cont = BdbDifferentiator(0.01)
+    for p in x[:n]:
+        cont.step(p)
+    for got, want in zip(cont.run(x[n:]), (v[n:], a[n:], filtered[n:])):
+        np.testing.assert_array_equal(got, want)
+    assert cont.step(1.0) == ref.step(1.0)
+    assert fresh.run(np.empty(0))[0].shape == (0,)
+
+
+def test_abg_run_equals_stacked_step():
+    x = bursty_positions(300)
+    ref = AbgFilter(0.6, 0.01)
+    expected = np.array([ref.step(p) for p in x]).T
+    np.testing.assert_array_equal(AbgFilter(0.6, 0.01).run(x), expected)
+
+
 # ---------------------------------------------------------------------------
 # Tracking-index gains
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from aisepred.aise import AiseFilter, benchmark_config
+from aisepred.baselines import AbgFilter, BdbDifferentiator
 from aisepred.cli import main
-from aisepred.harness import ExperimentConfig, run_experiment
+from aisepred.harness import ExperimentConfig, normalize_method, run_experiment
 from aisepred.oracles import compute_goldens
-from aisepred.scenarios import truth_arrays
+from aisepred.prediction import DerivativeEstimate, predict
+from aisepred.scenarios import add_noise, truth_arrays
 
 
 def write_csv(path, t, columns):
@@ -84,6 +87,39 @@ def test_predict_subcommand(tmp_path):
     assert header == ["l", "x", "y", "z"]
     assert len(rows) == 40
     assert all(np.isfinite(float(v)) for v in rows[-1])
+
+
+def twin_prediction(P, method, horizon, t_s):
+    """The CLI's prediction rebuilt by stepping the public filter classes sample by sample."""
+    if method.startswith("AISE/"):
+        orders = (1, 2, 3) if method == "AISE/FS" else (1, 2)
+        banks = [[AiseFilter(benchmark_config(o, t_s)) for _ in range(3)] for o in orders]
+    elif method == "BDB/va":
+        banks = [[BdbDifferentiator(t_s) for _ in range(3)]]
+    else:
+        banks = [[AbgFilter(0.6, t_s) for _ in range(3)]]
+    for row in P:
+        last = [np.array([f.step(p) for f, p in zip(bank, row)]).T for bank in banks]
+    if method.startswith("AISE/"):
+        estimates = DerivativeEstimate(*last)  # one order per field: v, a[, j]
+    else:
+        estimates = DerivativeEstimate(*last[0][-2:])  # BDB gives (v, a), ABG (p, v, a)
+    return predict(method, P[-1], estimates, horizon, t_s, anchor_step=len(P) - 1).positions
+
+
+@pytest.mark.parametrize("method", ["aise-fs", "aise-va", "bdb-va", "abg-va"])
+def test_predict_subcommand_matches_stepped_filters(tmp_path, method):
+    t_s = 0.01
+    P, _, _, _ = truth_arrays("helical", 300, t_s)
+    P = add_noise(P, 0.1, 3)
+    write_csv(tmp_path / "in.csv", np.arange(301) * t_s,
+              {"x": P[:, 0], "y": P[:, 1], "z": P[:, 2]})
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(tmp_path / "in.csv"), "--method", method,
+                 "--horizon", "30", "--out", str(out)]) == 0
+    _, rows = read_columns(out)
+    expected = twin_prediction(P, normalize_method(method), 30, t_s)
+    assert [r[1:] for r in rows] == [[repr(float(x)) for x in pos] for pos in expected]
 
 
 def test_experiment_cli_with_flags(tmp_path, capsys):

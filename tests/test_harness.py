@@ -1,8 +1,11 @@
+import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from aisepred.aise import AiseConfig
 from aisepred.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -89,6 +92,17 @@ def test_config_unknown_key_rejected():
     data["noise_model"] = "uniform"
     with pytest.raises(ValueError, match="unknown config fields"):
         config_from_dict(data)
+
+
+def test_default_config_hash_is_pinned():
+    # The manifest's config_sha256 hashes the resolved config_to_dict output;
+    # the serializer may change only if this hash stays put.
+    cfg = ExperimentConfig()
+    resolved = config_to_dict(cfg)
+    resolved["sigma"] = cfg.resolved_sigma()
+    digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
+    assert digest == "f70479e4c40656d7dcdd0f0340e8c84ed43fad916c85abd789484fabee689e40"
+    assert list(resolved["aise"]["order1"]) == [f.name for f in fields(AiseConfig)]
 
 
 def test_experiment_default_parameters():
