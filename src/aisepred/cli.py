@@ -15,7 +15,7 @@ from .harness import (METHOD_SOURCES, ExperimentConfig, estimate, load_config,
                       normalize_method, run_experiment)
 from .oracles import compute_goldens
 from .prediction import DerivativeEstimate, predict
-from .scenarios import format_csv_row, read_positions_csv, read_timeseries_csv
+from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv
 
 
 def build_parser():
@@ -82,13 +82,11 @@ def _cmd_differentiate(args):
         config = replace(base, **overrides)
     else:
         config = benchmark_config(args.order, t_s)
-    filters = {name: AiseFilter(config) for name in cols}
+    derivatives = [AiseFilter(config).run(column).tolist() for column in cols.values()]
     out = _open_out(args.out)
     try:
         out.write("t," + ",".join(f"d{name}" for name in cols) + "\n")
-        for i in range(len(t)):
-            row = [t[i]] + [filters[name].step(cols[name][i]) for name in cols]
-            out.write(format_csv_row(row) + "\n")
+        out.write(format_csv_lines([t.tolist(), *derivatives]))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -100,7 +98,7 @@ def _cmd_predict(args):
     t, P = read_positions_csv(args.csv_in)
     t_s = float(t[1] - t[0])
     config = ExperimentConfig(t_s=t_s, tracking_index=args.tracking_index)
-    est = estimate(P, t_s, config, METHOD_SOURCES[method])
+    est = estimate(P, config, METHOD_SOURCES[method])
     family = method.split("/")[0].lower()
     estimates = DerivativeEstimate(v=est[f"{family}_v"][-1], a=est[f"{family}_a"][-1],
                                    j=est["aise_j"][-1] if method == "AISE/FS" else None)
@@ -108,8 +106,7 @@ def _cmd_predict(args):
     out = _open_out(args.out)
     try:
         out.write("l,x,y,z\n")
-        for l in range(1, trace.horizon + 1):
-            out.write(f"{l}," + format_csv_row(trace.positions[l - 1]) + "\n")
+        out.write(format_csv_lines([range(1, trace.horizon + 1), *trace.positions.T.tolist()]))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -55,23 +55,43 @@ class FrenetModel:
 
 def hat(w):
     """3x3 skew-symmetric matrix of w, satisfying hat(w) @ v == cross(w, v)."""
-    w = np.asarray(w, dtype=float)
+    x, y, z = np.asarray(w, dtype=float).tolist()
     return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
+        [0.0, -z, y],
+        [z, 0.0, -x],
+        [-y, x, 0.0],
     ])
 
 
+def _cross(a, b):
+    """np.cross of two 3-vectors: the same products and differences, without its overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(x):
+    """np.linalg.norm of a 1-D array: the root of its dot with itself."""
+    return np.sqrt(x.dot(x))
+
+
 def _check_nondegenerate(v, a):
-    speed = np.linalg.norm(v)
-    cross = np.cross(v, a)
-    cross_norm = np.linalg.norm(cross)
+    speed = _norm(v)
+    cross = _cross(v, a)
+    cross_norm = _norm(cross)
     if speed <= TOL_SPEED:
         raise DegenerateGeometry(f"speed {speed:.3e} below tolerance")
-    if cross_norm <= TOL_CROSS * max(1.0, speed * np.linalg.norm(a)):
+    if cross_norm <= TOL_CROSS * max(1.0, speed * _norm(a)):
         raise DegenerateGeometry("velocity and acceleration are (near-)parallel")
     return speed, cross, cross_norm
+
+
+def _frame(v, a, speed, cross, cross_norm):
+    return v / speed, _cross(v, _cross(a, v)) / (speed * cross_norm), cross / cross_norm
+
+
+def _scalars(v, a, j, speed, cross, cross_norm):
+    return speed, cross_norm / speed**3, float(v @ _cross(a, j)) / cross_norm**2
 
 
 def frame_from_derivatives(v, a):
@@ -81,63 +101,47 @@ def frame_from_derivatives(v, a):
     DegenerateGeometry when the speed or the curvature direction is not
     resolvable (straight-line or stationary motion).
     """
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    speed, cross, cross_norm = _check_nondegenerate(v, a)
-    t_vec = v / speed
-    b_vec = cross / cross_norm
-    n_vec = np.cross(v, np.cross(a, v)) / (speed * cross_norm)
-    return t_vec, n_vec, b_vec
+    v, a = (np.asarray(x, dtype=float) for x in (v, a))
+    return _frame(v, a, *_check_nondegenerate(v, a))
 
 
 def scalar_params(v, a, j):
     """Speed, curvature, and torsion from the first three derivatives."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    j = np.asarray(j, dtype=float)
-    speed, cross, cross_norm = _check_nondegenerate(v, a)
-    curvature = cross_norm / speed**3
-    torsion = float(v @ np.cross(a, j)) / cross_norm**2
-    return speed, curvature, torsion
+    v, a, j = (np.asarray(x, dtype=float) for x in (v, a, j))
+    return _scalars(v, a, j, *_check_nondegenerate(v, a))
 
 
 def frenet_model(v, a, j):
     """Assemble the full FrenetModel from derivative estimates at one step."""
-    t_vec, n_vec, b_vec = frame_from_derivatives(v, a)
-    speed, curvature, torsion = scalar_params(v, a, j)
-    R = np.column_stack([t_vec, n_vec, b_vec])
+    v, a, j = (np.asarray(x, dtype=float) for x in (v, a, j))
+    checked = _check_nondegenerate(v, a)
+    speed, curvature, torsion = _scalars(v, a, j, *checked)
+    R = np.column_stack(_frame(v, a, *checked))
     omega = np.array([speed * torsion, 0.0, speed * curvature])
     return FrenetModel(R=R, u=speed, kappa_t=curvature, tau_t=torsion, omega=omega)
 
 
 def gamma0(phi):
     """Rotation by the vector phi (matrix exponential of hat(phi), closed form)."""
-    phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    S = hat(phi)
-    S2 = S @ S
-    if angle < _SMALL_ANGLE:
-        return np.eye(3) + S + 0.5 * S2 + (S2 @ S) / 6.0
-    return (
-        np.eye(3)
-        + (np.sin(angle) / angle) * S
-        + ((1.0 - np.cos(angle)) / angle**2) * S2
-    )
+    return _gammas(phi)[0]
 
 
 def gamma1(phi):
     """Normalized integral of the rotation flow: (1/t)*int_0^t exp(hat(phi)*s/t) ds."""
+    return _gammas(phi)[1]
+
+
+def _gammas(phi):
+    """(gamma0(phi), gamma1(phi)), which share the angle, hat(phi) and its square."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
+    angle = _norm(phi)
     S = hat(phi)
     S2 = S @ S
     if angle < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * S + S2 / 6.0
-    return (
-        np.eye(3)
-        + ((1.0 - np.cos(angle)) / angle**2) * S
-        + ((angle - np.sin(angle)) / angle**3) * S2
-    )
+        return np.eye(3) + S + 0.5 * S2 + (S2 @ S) / 6.0, np.eye(3) + 0.5 * S + S2 / 6.0
+    sin, cos_term = np.sin(angle), (1.0 - np.cos(angle)) / angle**2
+    return (np.eye(3) + (sin / angle) * S + cos_term * S2,
+            np.eye(3) + cos_term * S + ((angle - sin) / angle**3) * S2)
 
 
 def _project_rotation(M):
@@ -163,17 +167,17 @@ def fs_predict(p_k, model, horizon, t_s):
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     p_k = np.asarray(p_k, dtype=float)
     phi = model.omega * t_s
-    step_rot = gamma0(phi)
+    step_rot, step_integral = _gammas(phi)
     # Displacement of one step, expressed in the local frame.
-    local_step = t_s * gamma1(phi) @ np.array([model.u, 0.0, 0.0])
+    local_step = t_s * step_integral @ np.array([model.u, 0.0, 0.0])
 
     frames = np.empty((horizon, 3, 3))
-    R_cur = model.R.copy()
-    frames[0] = R_cur
-    for i in range(1, horizon):
-        R_cur = R_cur @ step_rot
+    frames[0] = prev = model.R
+    # np.dot into each slot: the same BLAS product as `@`, without a new array.
+    for i, cur in enumerate(frames[1:], start=1):
+        np.dot(prev, step_rot, out=cur)
         if i % _RENORM_EVERY == 0:
-            R_cur = _project_rotation(R_cur)
-        frames[i] = R_cur
+            cur[...] = _project_rotation(cur)
+        prev = cur
     summed = np.cumsum(frames, axis=0)
     return p_k + summed @ local_step

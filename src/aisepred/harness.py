@@ -22,7 +22,7 @@ from .aise import AiseConfig, AiseFilter, benchmark_config
 from .baselines import AbgFilter, BdbDifferentiator
 from .frenet import DegenerateGeometry, scalar_params
 from .prediction import METHODS, DerivativeEstimate, predict
-from .scenarios import SCENARIOS, add_noise, format_csv_row, read_positions_csv, truth_arrays
+from .scenarios import SCENARIOS, add_noise, format_csv_lines, read_positions_csv, truth_arrays
 
 __all__ = [
     "METHOD_SOURCES",
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
+# Rows of trace.csv formatted per write: larger blocks raise peak RSS.
+_TRACE_BLOCK_ROWS = 100
 
 # The estimate() sources each prediction method reads.
 METHOD_SOURCES = {
@@ -177,15 +179,15 @@ def _load_scenario(config):
     return P, V, A, J, config.n_steps, config.t_s
 
 
-def estimate(measurements, t_s, config, sources):
+def estimate(measurements, config, sources):
     """Run the requested estimators over a whole (N, 3) measurement stream.
 
     sources names what to run: "aise_v", "aise_a", "aise_j" (AISE orders 1-3,
-    tuned by config.aise_config), "bdb" and "abg" (the baselines at sample
-    time t_s). Returns (N, 3) arrays: aise_v/a/j, aise_p (the order-1
-    filter's assimilated position), bdb_v/a/p and abg_p/v/a. The channels are
-    independent, so each runs over its whole column in turn, with the same
-    bits as a sample-by-sample interleaving.
+    tuned by config.aise_config), "bdb" and "abg" (the baselines), all at
+    sample time config.t_s. Returns (N, 3) arrays: aise_v/a/j, aise_p (the
+    order-1 filter's assimilated position), bdb_v/a/p and abg_p/v/a. The
+    channels are independent, so each runs over its whole column in turn,
+    with the same bits as a sample-by-sample interleaving.
     """
     measurements = np.asarray(measurements, dtype=float)
     est = {}
@@ -203,11 +205,11 @@ def estimate(measurements, t_s, config, sources):
                     pos[k, ax] = filt.x_da[0]
     if "bdb" in sources:
         est["bdb_v"], est["bdb_a"], est["bdb_p"] = np.stack([
-            BdbDifferentiator(t_s, config.butterworth_order, config.butterworth_cutoff).run(c)
+            BdbDifferentiator(config.t_s, config.butterworth_order, config.butterworth_cutoff).run(c)
             for c in measurements.T], axis=2)
     if "abg" in sources:
         est["abg_p"], est["abg_v"], est["abg_a"] = np.stack(
-            [AbgFilter(config.tracking_index, t_s).run(c) for c in measurements.T], axis=2)
+            [AbgFilter(config.tracking_index, config.t_s).run(c) for c in measurements.T], axis=2)
     return est
 
 
@@ -219,6 +221,8 @@ def run_experiment(config, out_dir=None):
     """
     start = time.perf_counter()
     P, V, A, J, n_steps, t_s = _load_scenario(config)
+    # A CSV brings its own sample time: the AISE filters and the manifest use it.
+    config = replace(config, t_s=t_s)
     sigma = config.resolved_sigma()
     measurements = add_noise(P[: n_steps + 1], sigma, config.seed)
 
@@ -228,7 +232,7 @@ def run_experiment(config, out_dir=None):
         sources = {s for m in config.methods for s in METHOD_SOURCES[m]}
         if "aise_v" in sources:
             sources.add("aise_j")  # trace.csv carries all three AISE orders
-        est = estimate(measurements, t_s, config, sources)
+        est = estimate(measurements, config, sources)
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
     traces = {}
@@ -260,7 +264,7 @@ def run_experiment(config, out_dir=None):
     )
 
     if out_dir is not None:
-        _write_artifacts(out_dir, config, report, n_steps, t_s, P, measurements, est, traces)
+        _write_artifacts(out_dir, config, report, n_steps, P, measurements, est, traces)
     return report
 
 
@@ -334,7 +338,7 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 
-def _write_artifacts(out_dir, config, report, n_steps, t_s, truth, measurements, est, traces):
+def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est, traces):
     os.makedirs(out_dir, exist_ok=True)
     resolved = report.config
 
@@ -376,29 +380,30 @@ def _write_artifacts(out_dir, config, report, n_steps, t_s, truth, measurements,
               if key in est]
     for key in blocks:
         columns += [f"{key}{ax}" for ax in ("x", "y", "z")]
-    want_frenet = "AISE/FS" in config.methods
-    if want_frenet:
+    table = [np.arange(n_steps + 1)[:, None] * config.t_s, truth, measurements]
+    table += [est[key] for key in blocks]
+    if "AISE/FS" in config.methods:
         columns += ["kappa", "tau", "u", "fs_fallback"]
+        params = np.full((n_steps + 1, 3), np.nan)
+        fallback = np.zeros((n_steps + 1, 1), dtype=int)
+        for k in range(n_steps + 1):
+            try:
+                speed, curvature, torsion = scalar_params(
+                    est["aise_v"][k], est["aise_a"][k], est["aise_j"][k])
+                params[k] = curvature, torsion, speed
+            except DegenerateGeometry:
+                fallback[k] = 1
+        table += [params, fallback]
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for k in range(n_steps + 1):
-            row = [k, k * t_s, *truth[k], *measurements[k]]
-            for key in blocks:
-                row.extend(est[key][k])
-            if want_frenet:
-                try:
-                    speed, curvature, torsion = scalar_params(
-                        est["aise_v"][k], est["aise_a"][k], est["aise_j"][k])
-                    row += [curvature, torsion, speed, False]
-                except DegenerateGeometry:
-                    row += [np.nan, np.nan, np.nan, True]
-            fh.write(format_csv_row(row) + "\n")
+        for lo in range(0, n_steps + 1, _TRACE_BLOCK_ROWS):
+            hi = min(lo + _TRACE_BLOCK_ROWS, n_steps + 1)
+            cols = [range(lo, hi)] + [c for part in table for c in part[lo:hi].T.tolist()]
+            fh.write(format_csv_lines(cols))
 
     with open(os.path.join(out_dir, "predictions.csv"), "w") as fh:
         fh.write("anchor,method,l,x,y,z\n")
         for method in config.methods:
             for trace in traces[method]:
-                for l in range(1, trace.horizon + 1):
-                    pos = trace.positions[l - 1]
-                    fh.write(f"{trace.anchor_step},{method},{l},"
-                             + format_csv_row(pos) + "\n")
+                fh.write(format_csv_lines([range(1, trace.horizon + 1), *trace.positions.T.tolist()],
+                                          prefix=f"{trace.anchor_step},{method},"))

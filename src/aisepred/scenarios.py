@@ -190,22 +190,21 @@ def write_truth_csv(path_or_file, t, p, v, a, j):
         close, fh = True, open(path_or_file, "w", newline="")
     try:
         fh.write(",".join(header) + "\n")
-        for i in range(len(t)):
-            fields = [t[i], *p[i], *v[i], *a[i], *j[i]]
-            fh.write(",".join(repr(float(x)) for x in fields) + "\n")
+        table = np.asarray(np.column_stack([t, p, v, a, j]), dtype=float)
+        fh.write(format_csv_lines(table.T.tolist()))
     finally:
         if close:
             fh.close()
 
 
-def format_csv_row(values):
-    """Render floats with shortest round-trip precision; ints stay ints."""
-    out = []
-    for x in values:
-        if isinstance(x, (bool, np.bool_)):
-            out.append(str(int(x)))
-        elif isinstance(x, (int, np.integer)):
-            out.append(str(int(x)))
-        else:
-            out.append(repr(float(x)))
-    return ",".join(out)
+def format_csv_lines(columns, prefix=""):
+    """CSV text of the rows of `columns`, one newline-terminated line per row.
+
+    Every artifact writer formats through here, so all share one rule: floats
+    in shortest round-trip repr, ints as ints and bools as 0/1. Columns hold
+    Python numbers, as ndarray.tolist() and range give them, and each line
+    starts with the literal `prefix`.
+    """
+    fields = ["%d" if col and isinstance(col[0], int) else "%r" for col in columns]
+    line = prefix.replace("%", "%%") + ",".join(fields) + "\n"
+    return "".join([line % row for row in zip(*columns)])

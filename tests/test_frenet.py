@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aisepred.frenet import (
     DegenerateGeometry,
+    _cross,
+    _norm,
     frame_from_derivatives,
     frenet_model,
     fs_predict,
@@ -227,3 +231,39 @@ def test_fs_predict_single_step_matches_one_step_update():
     traj = fs_predict(s.p, model, 1, t_s)
     expected = s.p + t_s * model.R @ gamma1(model.omega * t_s) @ np.array([model.u, 0, 0])
     np.testing.assert_array_equal(traj[0], expected)
+
+
+# Vector components for the helper properties: signed zeros, subnormals and
+# magnitudes from 1e-150 to 1e150, besides hypothesis' own float choices.
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            -1e-310, 1e-150, -1e150])
+_SCALED = st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-150, 149))
+_COMPONENT = st.one_of(st.floats(min_value=-1e150, max_value=1e150), _SPECIAL, _SCALED)
+_VEC3 = st.lists(_COMPONENT, min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_VEC3, b=_VEC3)
+def test_cross_helper_is_np_cross_bit_for_bit(a, b):
+    ours, ref = _cross(a, b), np.cross(a, b)
+    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_VEC3)
+def test_norm_helper_is_np_linalg_norm_bit_for_bit(x):
+    ours, ref = _norm(x), np.linalg.norm(x)
+    assert type(ours) is type(ref) and ours.tobytes() == ref.tobytes()
+
+
+_MODERATE = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(_MODERATE, min_size=3, max_size=3).map(np.array),
+       c=_MODERATE, j=st.lists(_MODERATE, min_size=3, max_size=3).map(np.array))
+def test_frenet_model_degenerate_for_parallel_or_zero_velocity(v, c, j):
+    with pytest.raises(DegenerateGeometry):
+        frenet_model(v, c * v, j)
+    with pytest.raises(DegenerateGeometry):
+        frenet_model(np.zeros(3), v, j)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from aisepred.aise import AiseConfig
+from aisepred.aise import AiseConfig, AiseFilter, benchmark_config
 from aisepred.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -172,6 +172,57 @@ def test_run_experiment_deterministic_bytes(tmp_path):
     run_experiment(cfg, out_dir=tmp_path / "b")
     for name in ("report.json", "trace.csv", "predictions.csv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of predictions.csv and trace.csv, recorded before the writers were
+# rebuilt on ndarray.tolist(): the artifact bytes may not move.
+PINNED_ARTIFACTS = {
+    "helix": (
+        dict(scenario="helical", n_steps=600, k0=300, horizon=50, seed=11),
+        "93f1c368c8ab27ac5fd3c95615a9845fe319a0e58e04c673c0a2f444947e7a71",
+        "7953a950cdd71429e51fb14062054b4c5dacf87be7b346eec58354a4ea11e0b1",
+    ),
+    "parabolic": (
+        dict(scenario="parabolic", n_steps=600, k0=300, horizon=50, seed=11,
+             anchor_on_estimate=True),
+        "f23e466f888b3e174c66e0d2659e9371a80f82e43f698a5d1dc9fdd4f1604a27",
+        "8cf0ecc1b5c3a65590cc6876715898fd6ab95d3c57d8a9df32d0db701b9d8ea1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    # The helix run has all four methods, so the kappa/tau/u/fs_fallback
+    # columns of trace.csv are written too.
+    kwargs, predictions_sha, trace_sha = PINNED_ARTIFACTS[name]
+    run_experiment(ExperimentConfig(**kwargs), out_dir=tmp_path)
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert digest("predictions.csv") == predictions_sha
+    assert digest("trace.csv") == trace_sha
+
+
+def test_csv_scenario_filters_use_the_csv_sample_time(tmp_path):
+    t_s = 0.02
+    P, _, _, _ = truth_arrays("helical", 320, t_s)
+    path = tmp_path / "input.csv"
+    with open(path, "w") as fh:
+        fh.write("t,x,y,z\n")
+        for k in range(321):
+            fh.write(",".join(repr(float(v)) for v in [k * t_s, *P[k]]) + "\n")
+    cfg = ExperimentConfig(scenario=f"csv:{path}", sigma=0.0, methods=("aise-fs",), **SMALL)
+    run_experiment(cfg, out_dir=tmp_path / "out")
+
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["t_s"] == t_s
+    assert all(manifest["config"]["aise"][f"order{o}"]["t_s"] == t_s for o in (1, 2, 3))
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    for order, key in enumerate(("aise_v", "aise_a", "aise_j"), start=1):
+        for ax, name in enumerate("xyz"):
+            expected = AiseFilter(benchmark_config(order, t_s)).run(P[:, ax])
+            np.testing.assert_array_equal(table[:, header.index(f"{key}{name}")], expected)
 
 
 def test_run_experiment_csv_scenario(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aisepred.prediction import METHODS, DerivativeEstimate, PredictionTrace, predict, va_predict
 from aisepred.scenarios import helical, parabolic
@@ -87,3 +89,17 @@ def test_prefix_consistency(method):
     full = predict(method, s.p, est, 100, t_s)
     short = predict(method, s.p, est, 30, t_s)
     np.testing.assert_array_equal(short.positions, full.positions[:30])
+
+
+_MODERATE = st.floats(min_value=-1e3, max_value=1e3)
+_VEC3 = st.lists(_MODERATE, min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_VEC3, c=_MODERATE, j=_VEC3, p=_VEC3, zero_speed=st.booleans())
+def test_fs_falls_back_for_parallel_or_zero_velocity(v, c, j, p, zero_speed):
+    v, a = (np.zeros(3), v) if zero_speed else (v, c * v)
+    tr = predict("AISE/FS", p, DerivativeEstimate(v=v, a=a, j=j), 7, 0.01, anchor_step=3)
+    assert tr.fallback_used and tr.method == "AISE/FS"
+    expected = va_predict(p, v, a, 7, 0.01)
+    assert tr.positions.tobytes() == expected.positions.tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from aisepred.scenarios import (
     add_noise,
+    format_csv_lines,
     helical,
     parabolic,
     read_positions_csv,
@@ -100,6 +101,17 @@ def test_timeseries_roundtrip():
     np.testing.assert_array_equal(t2, t)
     np.testing.assert_array_equal(np.column_stack([cols["x"], cols["y"], cols["z"]]), P)
     np.testing.assert_array_equal(np.column_stack([cols["jx"], cols["jy"], cols["jz"]]), J)
+
+
+def test_csv_number_format():
+    # Floats in shortest round-trip repr, ints as ints, bools as 0/1.
+    values = np.array([0.1, -0.0, 1e-320, 2.5e16, np.nan, 1.0 / 3.0])
+    text = format_csv_lines([range(7, 13), values.tolist(), [True, False] * 3], prefix="5,AISE/FS,")
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == 6
+    assert lines[0] == "5,AISE/FS,7,0.1,1"
+    assert [line.split(",")[3] for line in lines] == [repr(float(v)) for v in values]
+    assert lines[5] == "5,AISE/FS,12,0.3333333333333333,0"
 
 
 def test_positions_csv_requires_xyz_header():
