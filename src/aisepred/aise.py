@@ -17,7 +17,7 @@ JSON and restored with bit-identical continuation.
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -122,6 +122,14 @@ class AiseConfig:
         return 2 * self.n_e + 1
 
 
+def from_fields(cls, data):
+    """cls(**data), after rejecting any key that is not a field of the dataclass cls."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    return cls(**data)
+
+
 def benchmark_config(order, t_s=0.01):
     """Parameter set used by the benchmark scenarios for the given order.
 
@@ -188,6 +196,16 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     if ratio > f_crit:
         return 1.0 / (1.0 + alpha_vrf * (ratio - f_crit))
     return 1.0
+
+
+# Checkpointed filter state: (JSON key, AiseFilter attribute), in to_json order.
+_CHECKPOINT = (
+    ("k", "k"), ("theta", "theta"), ("p_inv", "p_inv"), ("x_fc", "x_fc"), ("x_da", "x_da"),
+    ("P_fc", "P_fc"), ("P_da", "P_da"), ("dhat_hist", "dhat_hist"), ("z_hist", "z_hist"),
+    ("phi_hist", "phi_hist"), ("prodstack", "prodstack"), ("res_count", "_res_count"),
+    ("res_mean", "_res_mean"), ("res_m2", "_res_m2"), ("eta_k", "eta_k"), ("v2_k", "v2_k"),
+    ("lambda_k", "lambda_k"),
+)
 
 
 class AiseFilter:
@@ -477,47 +495,25 @@ class AiseFilter:
 
     def to_json(self):
         """Serialize config and full state; restoring continues bit-identically."""
-        state = {
-            "config": asdict(self.cfg),
-            "k": self.k,
-            "theta": self.theta.tolist(),
-            "p_inv": self.p_inv.tolist(),
-            "x_fc": self.x_fc.tolist(),
-            "x_da": self.x_da.tolist(),
-            "P_fc": self.P_fc.tolist(),
-            "P_da": self.P_da.tolist(),
-            "dhat_hist": list(self.dhat_hist),
-            "z_hist": list(self.z_hist),
-            "phi_hist": self.phi_hist.tolist(),
-            "prodstack": self.prodstack.tolist(),
-            "res_count": self._res_count,
-            "res_mean": self._res_mean,
-            "res_m2": self._res_m2,
-            "eta_k": self.eta_k,
-            "v2_k": self.v2_k,
-            "lambda_k": self.lambda_k,
-        }
-        return json.dumps(state)
+        state = {"config": asdict(self.cfg)}
+        state.update((key, getattr(self, attr)) for key, attr in _CHECKPOINT)
+        # The ndarrays and deques, which json cannot encode, go out as lists.
+        return json.dumps(
+            state, default=lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v))
 
     @classmethod
     def from_json(cls, payload):
         state = json.loads(payload)
-        filt = cls(AiseConfig(**state["config"]))
-        filt.k = state["k"]
-        filt.theta = np.asarray(state["theta"])
-        filt.p_inv = np.asarray(state["p_inv"])
-        filt.x_fc = np.asarray(state["x_fc"])
-        filt.x_da = np.asarray(state["x_da"])
-        filt.P_fc = np.asarray(state["P_fc"])
-        filt.P_da = np.asarray(state["P_da"])
-        filt.dhat_hist = deque(state["dhat_hist"], maxlen=filt.dhat_hist.maxlen)
-        filt.z_hist = deque(state["z_hist"], maxlen=filt.z_hist.maxlen)
-        filt.phi_hist = np.asarray(state["phi_hist"])
-        filt.prodstack = np.asarray(state["prodstack"])
-        filt._res_count = state["res_count"]
-        filt._res_mean = state["res_mean"]
-        filt._res_m2 = state["res_m2"]
-        filt.eta_k = state["eta_k"]
-        filt.v2_k = state["v2_k"]
-        filt.lambda_k = state["lambda_k"]
+        expected = {"config", *(key for key, _ in _CHECKPOINT)}
+        missing, unknown = sorted(expected - set(state)), sorted(set(state) - expected)
+        if missing or unknown:
+            raise ValueError(f"malformed checkpoint: missing {missing}, unknown {unknown}")
+        filt = cls(from_fields(AiseConfig, state["config"]))
+        for key, attr in _CHECKPOINT:
+            fresh, value = getattr(filt, attr), state[key]
+            if isinstance(fresh, np.ndarray):
+                value = np.asarray(value)
+            elif isinstance(fresh, deque):
+                value = deque(value, maxlen=fresh.maxlen)
+            setattr(filt, attr, value)
         return filt

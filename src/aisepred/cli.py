@@ -7,10 +7,10 @@ alongside its artifacts so results can be reproduced byte-for-byte.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .aise import AiseFilter, benchmark_config
+from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields
 from .harness import (METHOD_SOURCES, ExperimentConfig, estimate, load_config,
                       normalize_method, run_experiment)
 from .oracles import compute_goldens
@@ -51,10 +51,11 @@ def build_parser():
     p_exp.add_argument("--horizon", type=int)
     p_exp.add_argument("--n-steps", type=int)
     p_exp.add_argument("--k0", type=int)
-    p_exp.add_argument("--methods", help="comma-separated method list, e.g. aise-va,aise-fs")
+    p_exp.add_argument("--methods", type=lambda s: [m for m in s.split(",") if m.strip()],
+                       help="comma-separated method list, e.g. aise-va,aise-fs")
     p_exp.add_argument("--rmse-form", choices=("standard", "literal"))
     p_exp.add_argument("--out-dir", help="directory for report.json/trace.csv/predictions.csv")
-    p_exp.add_argument("--truth-derivatives", action="store_true",
+    p_exp.add_argument("--truth-derivatives", action="store_true", default=None,
                        help="bypass estimators and inject exact derivatives")
     p_exp.set_defaults(func=_cmd_experiment)
 
@@ -75,13 +76,9 @@ def _cmd_differentiate(args):
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
-    overrides.pop("order", None)
-    overrides.pop("t_s", None)
-    if overrides:
-        base = benchmark_config(args.order, t_s)
-        config = replace(base, **overrides)
-    else:
-        config = benchmark_config(args.order, t_s)
+    # The file's order and t_s are ignored: --order and the CSV set them.
+    config = from_fields(AiseConfig, {**asdict(benchmark_config(args.order, t_s)), **overrides,
+                                      "order": args.order, "t_s": t_s})
     derivatives = [AiseFilter(config).run(column).tolist() for column in cols.values()]
     out = _open_out(args.out)
     try:
@@ -115,29 +112,10 @@ def _cmd_predict(args):
 
 def _cmd_experiment(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.n_steps is not None:
-        overrides["n_steps"] = args.n_steps
-    if args.k0 is not None:
-        overrides["k0"] = args.k0
-    if args.methods is not None:
-        overrides["methods"] = tuple(
-            normalize_method(m) for m in args.methods.split(",") if m.strip()
-        )
-    if args.rmse_form is not None:
-        overrides["rmse_form"] = args.rmse_form
-    if args.truth_derivatives:
-        overrides["truth_derivatives"] = True
-    if overrides:
-        config = replace(config, **overrides)
+    # Every flag whose dest is a config field overrides the file when given.
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
+    config = replace(config, **overrides)
     report = run_experiment(config, out_dir=args.out_dir)
     print(f"scenario={config.scenario} n_steps={config.n_steps} k0={config.k0} "
           f"horizon={config.horizon} sigma={report.config['sigma']} seed={config.seed} "

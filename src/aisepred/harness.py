@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .aise import AiseConfig, AiseFilter, benchmark_config
+from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields
 from .baselines import AbgFilter, BdbDifferentiator
 from .frenet import DegenerateGeometry, scalar_params
 from .prediction import METHODS, DerivativeEstimate, predict
@@ -300,32 +300,19 @@ def config_to_dict(config):
 
 
 def config_from_dict(data):
-    """Inverse of config_to_dict; unknown keys are rejected."""
+    """Inverse of config_to_dict; unknown keys are rejected at every level."""
     data = dict(data)
     version = data.pop("schema_version", 1)
     if version != 1:
         raise ValueError(f"unsupported config schema version {version!r}")
-    aise = data.pop("aise", {}) or {}
-    kwargs = {}
-    for order in (1, 2, 3):
-        block = aise.get(f"order{order}")
-        if block is not None:
-            kwargs[f"aise_order{order}"] = AiseConfig(**block)
-    butter = data.pop("butterworth", None)
-    if butter:
-        kwargs["butterworth_order"] = butter.get("order", 10)
-        kwargs["butterworth_cutoff"] = butter.get("cutoff", 0.8 * np.pi)
-    if "methods" in data:
-        data["methods"] = tuple(data["methods"])
-    allowed = {
-        "scenario", "n_steps", "k0", "horizon", "sigma", "seed", "t_s", "methods",
-        "rmse_form", "truth_derivatives", "anchor_on_estimate", "tracking_index",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    kwargs.update(data)
-    return ExperimentConfig(**kwargs)
+    flat = sorted(key for key in data if key.startswith(("aise_", "butterworth_")))
+    if flat:  # these fields are read only from their nested blocks
+        raise ValueError(f"unknown config fields: {flat}")
+    for name, block in (data.pop("aise", None) or {}).items():
+        data[f"aise_{name}"] = None if block is None else from_fields(AiseConfig, block)
+    for name, value in (data.pop("butterworth", None) or {}).items():
+        data[f"butterworth_{name}"] = value
+    return from_fields(ExperimentConfig, data)
 
 
 def load_config(path):

@@ -1,5 +1,6 @@
 """Bad samples, checkpoint restore and the variance-ratio arithmetic of AiseFilter."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -149,3 +150,47 @@ def test_restore_at_any_step_continues_bit_identically(order, seed, split):
         assert f.step(y) == got[-1]
     assert got == expected
     assert restored.to_json() == reference.to_json() == f.to_json()
+
+
+# sha256 of to_json() after the first 400 samples of bursty_stream(4, 500),
+# and after a filter restored from that checkpoint takes the last 100.
+PINNED_CHECKPOINTS = {
+    1: ("c030a5cbeb51c8be38416d367db57edab09dee5c9f4873bce6605d37e0e6f6fd",
+        "95598223a9386fc339b4ff6e38f94006acbbd845e634f4f12dca66e7184fc986"),
+    2: ("f3035b4656fe3fc1d866b5ceed8e8bdd9e59e20d2a82fe5d55b881864ce774ce",
+        "f8a7fa61e5f6de511069f7c621981d6237c271ad1c69d6dfe65642f5e041a08e"),
+    3: ("e85510aa820285a393483b48ebbd9b4d8b93a5d911150cf63324345884a979a7",
+        "3b601c3f4193e9e02389c51d8bb2a7f6b052c05775ac06d1bb30993aa047c9b8"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_CHECKPOINTS))
+def test_checkpoint_bytes_are_pinned(order):
+    digest = lambda payload: hashlib.sha256(payload.encode()).hexdigest()
+    ys = bursty_stream(4, 500)
+    f = AiseFilter(benchmark_config(order))
+    for y in ys[:400]:
+        f.step(y)
+    payload = f.to_json()
+    restored = AiseFilter.from_json(payload)
+    for y in ys[400:]:
+        restored.step(y)
+    assert (digest(payload), digest(restored.to_json())) == PINNED_CHECKPOINTS[order]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda state: state.pop("z_hist"), "z_hist"),
+    (lambda state: state.pop("res_count"), "res_count"),
+    (lambda state: state.pop("config"), "config"),
+    (lambda state: state.update(rls_cov=[]), "rls_cov"),
+    (lambda state: state["config"].update(gain=2.0), "gain"),
+], ids=["missing-z_hist", "missing-res_count", "missing-config", "unknown-key",
+        "unknown-config-field"])
+def test_malformed_checkpoint_is_rejected(edit, key):
+    f = AiseFilter(benchmark_config(2))
+    for y in bursty_stream(5)[:30]:
+        f.step(y)
+    state = json.loads(f.to_json())
+    edit(state)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        AiseFilter.from_json(json.dumps(state))

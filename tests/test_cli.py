@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,3 +187,45 @@ def test_compute_goldens_deterministic():
     a = compute_goldens()
     b = compute_goldens()
     assert a == b
+
+
+def test_differentiate_unknown_config_key_is_error(tmp_path, capsys):
+    t = np.arange(100) * 0.01
+    write_csv(tmp_path / "in.csv", t, {"x": np.sin(t)})
+    (tmp_path / "cfg.json").write_text(json.dumps({"beta": 0.6, "bogus": 1}))
+    assert main(["differentiate", str(tmp_path / "in.csv"), "--config",
+                 str(tmp_path / "cfg.json")]) == 2
+    assert "error: unknown config fields: ['bogus']" in capsys.readouterr().err
+
+
+def test_experiment_unknown_aise_config_key_is_error(tmp_path, capsys):
+    config = {"scenario": "helical", "n_steps": 320, "k0": 150, "horizon": 60,
+              "aise": {"order1": {"bogus": 1}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "error: unknown config fields: ['bogus']" in capsys.readouterr().err
+
+
+def test_differentiate_config_overrides_all_but_order_and_sample_time(tmp_path):
+    # order and t_s in the file are ignored: --order and the CSV's spacing set them.
+    t = np.arange(300) * 0.02
+    x = np.sin(t) + 0.01 * np.random.default_rng(0).normal(size=300)
+    write_csv(tmp_path / "in.csv", t, {"x": x})
+    (tmp_path / "cfg.json").write_text(json.dumps({"order": 3, "t_s": 1.0, "r_theta": 0.05}))
+    out = tmp_path / "out.csv"
+    assert main(["differentiate", str(tmp_path / "in.csv"), "--order", "2",
+                 "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    _, rows = read_columns(out)
+    cfg = replace(benchmark_config(2, float(t[1] - t[0])), r_theta=0.05)
+    assert [r[1] for r in rows] == [repr(float(v)) for v in AiseFilter(cfg).run(x)]
+
+
+def test_experiment_truth_derivatives_flag_keeps_the_file_value(tmp_path):
+    # Without --truth-derivatives the file's value stands; with it, the flag sets it.
+    config = {"scenario": "parabolic", "n_steps": 320, "k0": 150, "horizon": 60,
+              "sigma": 0.0, "methods": ["aise-va"], "truth_derivatives": True}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(tmp_path / "cfg.json"),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["truth_derivatives"] is True

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -262,3 +262,46 @@ def test_run_experiment_rejects_short_csv(tmp_path):
     cfg = ExperimentConfig(scenario=f"csv:{path}", **SMALL)
     with pytest.raises(ValueError, match="rows"):
         run_experiment(cfg)
+
+
+# sha256 of report.json and manifest.json for the PINNED_ARTIFACTS configs.
+PINNED_JSON_ARTIFACTS = {
+    "helix": ("33530b9e253fde4b0d2b77db012d42e7b046cea4926dc673ded1e7c4723c7078",
+              "ffbcba6fff5952e8bfda9687a2984482a39b43bf3d084fe943a2d97fd03cd06e"),
+    "parabolic": ("e7c3c05f77a57666e24fb9450841cc08dd5ef97b7eae39a7b62eb5a14dab0a41",
+                  "2cc376e6f0f1810ea2753da73cefcf05120a94ae5c2b86685acfcce259b88082"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON_ARTIFACTS))
+def test_json_artifact_bytes_are_pinned(tmp_path, name):
+    run_experiment(ExperimentConfig(**PINNED_ARTIFACTS[name][0]), out_dir=tmp_path)
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (digest("report.json"), digest("manifest.json")) == PINNED_JSON_ARTIFACTS[name]
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(scenario="helical", **SMALL),
+    ExperimentConfig(scenario="parabolic", methods=("bdb-va", "aise-fs"), sigma=0.5,
+                     rmse_form="literal", butterworth_order=6, butterworth_cutoff=0.5,
+                     aise_order2=replace(benchmark_config(2), r_theta=0.05), **SMALL),
+], ids=["helix", "parabolic-tuned"])
+def test_manifest_config_reproduces_the_run(tmp_path, cfg):
+    run_experiment(cfg, out_dir=tmp_path / "a")
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    run_experiment(config_from_dict(manifest["config"]), out_dir=tmp_path / "b")
+    for name in ("report.json", "manifest.json", "trace.csv", "predictions.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit, unknown", [
+    (lambda d: d["butterworth"].update(cuttoff=1.0), "butterworth_cuttoff"),
+    (lambda d: d["aise"].update(order4=d["aise"]["order1"]), "aise_order4"),
+    (lambda d: d["aise"]["order1"].update(bogus=1), "bogus"),
+    (lambda d: d.update(butterworth_order=8), "butterworth_order"),
+], ids=["butterworth", "aise-block", "aise-field", "flat-butterworth"])
+def test_config_unknown_nested_key_rejected(edit, unknown):
+    data = config_to_dict(ExperimentConfig())
+    edit(data)
+    with pytest.raises(ValueError, match=f"unknown config fields: \\['{unknown}'\\]"):
+        config_from_dict(data)
