@@ -122,9 +122,16 @@ class AiseConfig:
         return 2 * self.n_e + 1
 
 
+def json_object(value, what):
+    """value, after checking that it is a JSON object (a dict); what names it in the error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def from_fields(cls, data):
-    """cls(**data), after rejecting any key that is not a field of the dataclass cls."""
-    unknown = set(data) - {f.name for f in fields(cls)}
+    """cls(**data), after checking that data is a JSON object of fields of the dataclass cls."""
+    unknown = set(json_object(data, cls.__name__)) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return cls(**data)
@@ -503,7 +510,7 @@ class AiseFilter:
 
     @classmethod
     def from_json(cls, payload):
-        state = json.loads(payload)
+        state = json_object(json.loads(payload), "checkpoint")
         expected = {"config", *(key for key, _ in _CHECKPOINT)}
         missing, unknown = sorted(expected - set(state)), sorted(set(state) - expected)
         if missing or unknown:

@@ -5,14 +5,15 @@ alongside its artifacts so results can be reproduced byte-for-byte.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, fields, replace
 
 from . import __version__
-from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields
-from .harness import (METHOD_SOURCES, ExperimentConfig, estimate, load_config,
-                      normalize_method, run_experiment)
+from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
+from .harness import (ExperimentConfig, estimate, load_config, method_family, normalize_method,
+                      run_experiment)
 from .oracles import compute_goldens
 from .prediction import DerivativeEstimate, predict
 from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv
@@ -65,8 +66,9 @@ def build_parser():
     return parser
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _output(path):
+    """The --out file to write, or stdout when no path is given."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_differentiate(args):
@@ -75,18 +77,14 @@ def _cmd_differentiate(args):
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
+            overrides = json_object(json.load(fh), "config")
     # The file's order and t_s are ignored: --order and the CSV set them.
     config = from_fields(AiseConfig, {**asdict(benchmark_config(args.order, t_s)), **overrides,
                                       "order": args.order, "t_s": t_s})
     derivatives = [AiseFilter(config).run(column).tolist() for column in cols.values()]
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("t," + ",".join(f"d{name}" for name in cols) + "\n")
         out.write(format_csv_lines([t.tolist(), *derivatives]))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -95,18 +93,14 @@ def _cmd_predict(args):
     t, P = read_positions_csv(args.csv_in)
     t_s = float(t[1] - t[0])
     config = ExperimentConfig(t_s=t_s, tracking_index=args.tracking_index)
-    est = estimate(P, config, METHOD_SOURCES[method])
-    family = method.split("/")[0].lower()
-    estimates = DerivativeEstimate(v=est[f"{family}_v"][-1], a=est[f"{family}_a"][-1],
-                                   j=est["aise_j"][-1] if method == "AISE/FS" else None)
+    family = method_family(method)
+    record = estimate(P, config, {family}, jerk=method == "AISE/FS")[family]
+    estimates = DerivativeEstimate(v=record["v"][-1], a=record["a"][-1],
+                                   j=record["j"][-1] if "j" in record else None)
     trace = predict(method, P[-1], estimates, args.horizon, t_s, anchor_step=len(P) - 1)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("l,x,y,z\n")
         out.write(format_csv_lines([range(1, trace.horizon + 1), *trace.positions.T.tolist()]))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -1,12 +1,14 @@
 """End-to-end experiment runner for the two benchmark scenarios.
 
-A run has three phases. estimate() runs the configured estimators (AISE
-orders 1-3 per axis, plus the two baselines) over the whole noisy
-measurement stream, one channel at a time; with truth_derivatives the exact
-derivatives stand in for them. Prediction then anchors a trace at every
-step in [k0, n_steps - horizon], and rmse() scores the horizon endpoints
-against noiseless truth. Runs are deterministic for a fixed config and seed:
-repeated runs produce byte-identical artifacts.
+A run has three phases. estimate() runs the estimator families the methods
+name (AISE orders 1-3 per axis, and the two baselines) over the whole noisy
+measurement stream, one channel at a time, and returns one record of
+position, velocity, acceleration (and AISE jerk) per family; with
+truth_derivatives the exact derivatives stand in as the AISE record.
+Prediction then anchors a trace at every step in [k0, n_steps - horizon],
+reading the record of the method's family, and rmse() scores the horizon
+endpoints against noiseless truth. Runs are deterministic for a fixed
+config and seed: repeated runs produce byte-identical artifacts.
 """
 
 import hashlib
@@ -18,17 +20,17 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields
+from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
 from .baselines import AbgFilter, BdbDifferentiator
 from .frenet import DegenerateGeometry, scalar_params
 from .prediction import METHODS, DerivativeEstimate, predict
 from .scenarios import SCENARIOS, add_noise, format_csv_lines, read_positions_csv, truth_arrays
 
 __all__ = [
-    "METHOD_SOURCES",
     "ExperimentConfig",
     "RmseReport",
     "normalize_method",
+    "method_family",
     "rmse",
     "estimate",
     "run_experiment",
@@ -41,30 +43,21 @@ _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
 # Rows of trace.csv formatted per write: larger blocks raise peak RSS.
 _TRACE_BLOCK_ROWS = 100
 
-# The estimate() sources each prediction method reads.
-METHOD_SOURCES = {
-    "AISE/va": ("aise_v", "aise_a"),
-    "AISE/FS": ("aise_v", "aise_a", "aise_j"),
-    "BDB/va": ("bdb",),
-    "ABG/va": ("abg",),
-}
-
-_METHOD_ALIASES = {
-    "aise-va": "AISE/va",
-    "aise-fs": "AISE/FS",
-    "bdb-va": "BDB/va",
-    "abg-va": "ABG/va",
-}
-
 
 def normalize_method(name):
     """Map a CLI-style method name (aise-fs) or canonical tag (AISE/FS) to the tag."""
     if name in METHODS:
         return name
+    aliases = {m.lower().replace("/", "-"): m for m in METHODS}
     key = name.strip().lower()
-    if key in _METHOD_ALIASES:
-        return _METHOD_ALIASES[key]
-    raise ValueError(f"unknown method {name!r}; expected one of {sorted(_METHOD_ALIASES)}")
+    if key in aliases:
+        return aliases[key]
+    raise ValueError(f"unknown method {name!r}; expected one of {sorted(aliases)}")
+
+
+def method_family(method):
+    """The estimator family whose record a method reads: "aise", "bdb" or "abg"."""
+    return method.split("/")[0].lower()
 
 
 @dataclass(frozen=True)
@@ -179,37 +172,39 @@ def _load_scenario(config):
     return P, V, A, J, config.n_steps, config.t_s
 
 
-def estimate(measurements, config, sources):
-    """Run the requested estimators over a whole (N, 3) measurement stream.
+def estimate(measurements, config, families, jerk):
+    """Run the named estimator families over a whole (N, 3) measurement stream.
 
-    sources names what to run: "aise_v", "aise_a", "aise_j" (AISE orders 1-3,
-    tuned by config.aise_config), "bdb" and "abg" (the baselines), all at
-    sample time config.t_s. Returns (N, 3) arrays: aise_v/a/j, aise_p (the
-    order-1 filter's assimilated position), bdb_v/a/p and abg_p/v/a. The
-    channels are independent, so each runs over its whole column in turn,
-    with the same bits as a sample-by-sample interleaving.
+    families is a collection of "aise" (AISE orders 1-2, and order 3 when
+    jerk is set, tuned by config.aise_config), "bdb" and "abg" (the
+    baselines), all at sample time config.t_s. Returns one record per
+    family, in the order aise, bdb, abg, mapping "p", "v", "a" (and "j" for
+    AISE with jerk) to (N, 3) arrays; p is the family's position estimate,
+    for AISE the order-1 filter's assimilated position. The channels are
+    independent, so each runs over its whole column in turn, with the same
+    bits as a sample-by-sample interleaving.
     """
     measurements = np.asarray(measurements, dtype=float)
     est = {}
-    for order, key in enumerate(("aise_v", "aise_a", "aise_j"), start=1):
-        if key not in sources:
-            continue
-        out = est[key] = np.empty(measurements.shape)
-        if order == 1:
-            pos = est["aise_p"] = np.empty(measurements.shape)
-        for ax, column in enumerate(measurements.T):
-            filt = AiseFilter(config.aise_config(order))
-            for k, y in enumerate(column.tolist()):
-                out[k, ax] = filt.step(y)
-                if order == 1:
-                    pos[k, ax] = filt.x_da[0]
-    if "bdb" in sources:
-        est["bdb_v"], est["bdb_a"], est["bdb_p"] = np.stack([
+    if "aise" in families:
+        record = est["aise"] = {"p": np.empty(measurements.shape)}
+        pos = record["p"]
+        for order, key in enumerate("vaj" if jerk else "va", start=1):
+            out = record[key] = np.empty(measurements.shape)
+            for ax, column in enumerate(measurements.T):
+                filt = AiseFilter(config.aise_config(order))
+                for k, y in enumerate(column.tolist()):
+                    out[k, ax] = filt.step(y)
+                    if order == 1:
+                        pos[k, ax] = filt.x_da[0]
+    # Each run() returns its outputs in the order the zip names them.
+    if "bdb" in families:
+        est["bdb"] = dict(zip("vap", np.stack([
             BdbDifferentiator(config.t_s, config.butterworth_order, config.butterworth_cutoff).run(c)
-            for c in measurements.T], axis=2)
-    if "abg" in sources:
-        est["abg_p"], est["abg_v"], est["abg_a"] = np.stack(
-            [AbgFilter(config.tracking_index, config.t_s).run(c) for c in measurements.T], axis=2)
+            for c in measurements.T], axis=2)))
+    if "abg" in families:
+        est["abg"] = dict(zip("pva", np.stack(
+            [AbgFilter(config.tracking_index, config.t_s).run(c) for c in measurements.T], axis=2)))
     return est
 
 
@@ -227,22 +222,19 @@ def run_experiment(config, out_dir=None):
     measurements = add_noise(P[: n_steps + 1], sigma, config.seed)
 
     if config.truth_derivatives:
-        est = {"aise_v": V, "aise_a": A, "aise_j": J}
+        # Every method reads the exact derivatives; the measurements stand in for p.
+        est = {"aise": {"p": measurements, "v": V, "a": A, "j": J}}
     else:
-        sources = {s for m in config.methods for s in METHOD_SOURCES[m]}
-        if "aise_v" in sources:
-            sources.add("aise_j")  # trace.csv carries all three AISE orders
-        est = estimate(measurements, config, sources)
+        # trace.csv carries all three AISE orders, so writing it runs order 3.
+        est = estimate(measurements, config, {method_family(m) for m in config.methods},
+                       jerk="AISE/FS" in config.methods or out_dir is not None)
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
     traces = {}
     for method in config.methods:
-        family = "aise" if config.truth_derivatives else method.split("/")[0].lower()
-        v, a = est[f"{family}_v"], est[f"{family}_a"]
-        j = est["aise_j"] if method == "AISE/FS" else None
-        anchors = measurements
-        if config.anchor_on_estimate:  # injected truth has no position estimate
-            anchors = est.get(f"{family}_p", measurements)
+        record = est["aise" if config.truth_derivatives else method_family(method)]
+        v, a, j = record["v"], record["a"], record.get("j")
+        anchors = record["p"] if config.anchor_on_estimate else measurements
         traces[method] = [
             predict(method, anchors[k],
                     DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
@@ -301,16 +293,16 @@ def config_to_dict(config):
 
 def config_from_dict(data):
     """Inverse of config_to_dict; unknown keys are rejected at every level."""
-    data = dict(data)
+    data = dict(json_object(data, "config"))
     version = data.pop("schema_version", 1)
     if version != 1:
         raise ValueError(f"unsupported config schema version {version!r}")
     flat = sorted(key for key in data if key.startswith(("aise_", "butterworth_")))
     if flat:  # these fields are read only from their nested blocks
         raise ValueError(f"unknown config fields: {flat}")
-    for name, block in (data.pop("aise", None) or {}).items():
+    for name, block in json_object(data.pop("aise", {}), "aise").items():
         data[f"aise_{name}"] = None if block is None else from_fields(AiseConfig, block)
-    for name, value in (data.pop("butterworth", None) or {}).items():
+    for name, value in json_object(data.pop("butterworth", {}), "butterworth").items():
         data[f"butterworth_{name}"] = value
     return from_fields(ExperimentConfig, data)
 
@@ -361,22 +353,21 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est,
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
-    columns = ["step", "t"]
-    columns += ["px", "py", "pz", "mx", "my", "mz"]
-    blocks = [key for key in ("aise_v", "aise_a", "aise_j", "bdb_v", "bdb_a", "abg_v", "abg_a")
-              if key in est]
-    for key in blocks:
-        columns += [f"{key}{ax}" for ax in ("x", "y", "z")]
+    columns = ["step", "t", "px", "py", "pz", "mx", "my", "mz"]
     table = [np.arange(n_steps + 1)[:, None] * config.t_s, truth, measurements]
-    table += [est[key] for key in blocks]
+    for family, record in est.items():
+        for key, values in record.items():
+            if key != "p":  # the position estimates are not written
+                columns += [f"{family}_{key}{ax}" for ax in "xyz"]
+                table.append(values)
     if "AISE/FS" in config.methods:
+        aise = est["aise"]
         columns += ["kappa", "tau", "u", "fs_fallback"]
         params = np.full((n_steps + 1, 3), np.nan)
         fallback = np.zeros((n_steps + 1, 1), dtype=int)
         for k in range(n_steps + 1):
             try:
-                speed, curvature, torsion = scalar_params(
-                    est["aise_v"][k], est["aise_a"][k], est["aise_j"][k])
+                speed, curvature, torsion = scalar_params(aise["v"][k], aise["a"][k], aise["j"][k])
                 params[k] = curvature, torsion, speed
             except DegenerateGeometry:
                 fallback[k] = 1

@@ -229,3 +229,41 @@ def test_experiment_truth_derivatives_flag_keeps_the_file_value(tmp_path):
                  "--out-dir", str(tmp_path / "run")]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["config"]["truth_derivatives"] is True
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("differentiate", [1]),
+    ("experiment", []),
+    ("experiment", {"aise": [1]}),
+    ("experiment", {"butterworth": 3}),
+    ("experiment", {"aise": {"order1": 5}}),
+    ("checkpoint", 5),
+    ("checkpoint", None),
+], ids=["differentiate-list", "experiment-list", "aise-list", "butterworth-int",
+        "aise-order-int", "checkpoint-int", "checkpoint-null"])
+def test_config_of_the_wrong_json_type_is_an_error(tmp_path, capsys, command, payload):
+    if command == "checkpoint":
+        with pytest.raises(ValueError, match="checkpoint must be a JSON object"):
+            AiseFilter.from_json(json.dumps(payload))
+        return
+    t = np.arange(100) * 0.01
+    write_csv(tmp_path / "in.csv", t, {"x": np.sin(t)})
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    inputs = [str(tmp_path / "in.csv")] if command == "differentiate" else []
+    assert main([command, *inputs, "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "must be a JSON object, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["differentiate", "--order", "2"],
+    ["predict", "--method", "aise-fs", "--horizon", "20"],
+], ids=["differentiate", "predict"])
+def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, capsys, argv):
+    t_s = 0.01
+    P = add_noise(truth_arrays("helical", 200, t_s)[0], 0.1, 2)
+    write_csv(tmp_path / "in.csv", np.arange(201) * t_s, {"x": P[:, 0], "y": P[:, 1], "z": P[:, 2]})
+    command, options = argv[0], [str(tmp_path / "in.csv"), *argv[1:]]
+    assert main([command, *options, "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    assert main([command, *options]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()

@@ -10,12 +10,13 @@ from aisepred.harness import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    estimate,
     normalize_method,
     rmse,
     run_experiment,
 )
 from aisepred.prediction import PredictionTrace
-from aisepred.scenarios import truth_arrays, write_truth_csv
+from aisepred.scenarios import add_noise, truth_arrays, write_truth_csv
 
 
 def make_traces(truth, horizon, k0, offset=0.0, method="AISE/va"):
@@ -305,3 +306,42 @@ def test_config_unknown_nested_key_rejected(edit, unknown):
     edit(data)
     with pytest.raises(ValueError, match=f"unknown config fields: \\['{unknown}'\\]"):
         config_from_dict(data)
+
+
+def test_config_to_dict_writes_every_field():
+    # A field the serializer dropped would come back as its default on both
+    # sides of a round trip, and the manifest would lose it silently.
+    data = config_to_dict(ExperimentConfig())
+    written = {key for key in data if key not in ("schema_version", "aise", "butterworth")}
+    written |= {f"aise_{name}" for name in data["aise"]}
+    written |= {f"butterworth_{name}" for name in data["butterworth"]}
+    assert written == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_estimate_returns_one_record_per_family():
+    cfg = ExperimentConfig(**SMALL)
+    measurements = add_noise(truth_arrays("helical", 320, cfg.t_s)[0], 0.1, 5)
+    est = estimate(measurements, cfg, {"abg", "bdb", "aise"}, jerk=False)
+    assert list(est) == ["aise", "bdb", "abg"]
+    assert all(set(record) == {"p", "v", "a"} for record in est.values())
+    assert all(a.shape == (321, 3) for record in est.values() for a in record.values())
+    with_jerk = estimate(measurements, cfg, {"aise"}, jerk=True)
+    assert list(with_jerk) == ["aise"] and set(with_jerk["aise"]) == {"p", "v", "a", "j"}
+    for key in "pva":
+        np.testing.assert_array_equal(with_jerk["aise"][key], est["aise"][key])
+
+
+def test_aise_va_run_runs_order_three_for_its_trace_only(tmp_path):
+    # AISE/va reads orders 1-2; trace.csv still carries the jerk estimates.
+    cfg = ExperimentConfig(scenario="helical", methods=("aise-va",), **SMALL)
+    traced = run_experiment(cfg, out_dir=tmp_path)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    for name in "xyz":
+        filt = AiseFilter(benchmark_config(3))
+        expected = [filt.step(y) for y in table[:, header.index(f"m{name}")]]
+        np.testing.assert_array_equal(table[:, header.index(f"aise_j{name}")], expected)
+    plain = run_experiment(cfg)
+    assert list(plain.methods) == list(traced.methods) == ["AISE/va"]
+    np.testing.assert_array_equal(plain.methods["AISE/va"], traced.methods["AISE/va"])
