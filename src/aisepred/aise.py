@@ -16,9 +16,7 @@ JSON and restored with bit-identical continuation.
 
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
@@ -93,8 +91,8 @@ class AiseConfig:
             raise ValueError(f"order must be 1, 2, or 3, got {self.order!r}")
         if self.t_s <= 0:
             raise ValueError("t_s must be positive")
-        if self.n_e < 1 or self.n_f < 1:
-            raise ValueError("n_e and n_f must be >= 1")
+        if self.n_e < 1 or self.n_f < 2:  # n_f - 1 closed-loop products are kept
+            raise ValueError("need n_e >= 1 and n_f >= 2")
         for name in ("r_z", "r_d", "r_theta", "r_inf"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -134,7 +132,10 @@ def from_fields(cls, data):
     unknown = set(json_object(data, cls.__name__)) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a field of the wrong JSON type, e.g. a string where a number goes
+        raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 
 def benchmark_config(order, t_s=0.01):
@@ -255,10 +256,9 @@ class AiseFilter:
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
         self.P_da = np.zeros((n, n))
-        n_dhat = cfg.n_e + cfg.n_f
-        n_z = max(cfg.n_e + cfg.n_f, cfg.tau_d)
-        self.dhat_hist = deque([0.0] * n_dhat, maxlen=n_dhat)   # newest first
-        self.z_hist = deque([0.0] * n_z, maxlen=n_z)            # newest first
+        # Every window is newest first and is shifted in place by one step.
+        self.dhat_hist = np.zeros(cfg.n_e + cfg.n_f)
+        self.z_hist = np.zeros(max(cfg.n_e + cfg.n_f, cfg.tau_d))
         self.phi_hist = np.zeros((cfg.n_f, lt))                 # row i = phi at step k-1-i
         # Row j holds the product of the last j+1 closed-loop matrices, newest
         # leftmost; row j feeds the filter weight at lag j+2. Zero rows encode
@@ -297,12 +297,8 @@ class AiseFilter:
 
     def filter_regressor(self):
         """Filtered regressor row and filtered input estimate over the last n_f steps."""
-        cfg = self.cfg
         H = self._filter_weights()
-        phi_f = H @ self.phi_hist
-        recent = np.fromiter(islice(self.dhat_hist, cfg.n_f), float, cfg.n_f)
-        dhat_f = float(H @ recent)
-        return phi_f, dhat_f
+        return H @ self.phi_hist, float(H @ self.dhat_hist[: self.cfg.n_f])
 
     def _factor_information(self, p_inv):
         """Lower Cholesky factor of the information matrix, with one lifted retry.
@@ -424,12 +420,9 @@ class AiseFilter:
             # Closed-loop matrix A(I + K C): A with its first column shifted by A @ K.
             abar = A.copy()
             abar[:, 0] += A @ gain
-            stack = self.prodstack
-            new_stack = np.empty_like(stack)
-            new_stack[0] = abar
-            if len(stack) > 1:
-                new_stack[1:] = abar @ stack[:-1]
-            self.prodstack = new_stack
+            # Shifted in place: numpy gives overlapping operands the non-overlapping result.
+            np.matmul(abar, self.prodstack[:-1], out=self.prodstack[1:])
+            self.prodstack[0] = abar
         P_fc = A @ self.P_da @ A.T
         P_fc.flat[:: len(P_fc) + 1] += eta
         self.P_fc = 0.5 * (P_fc + P_fc.T)
@@ -450,9 +443,9 @@ class AiseFilter:
         # phi and the variance-ratio window put z ahead of the stored history, which is
         # committed only after the RLS update succeeds: a failed step changes nothing.
         phi = np.empty(cfg.l_theta)
-        phi[: cfg.n_e] = list(islice(self.dhat_hist, cfg.n_e))
+        phi[: cfg.n_e] = self.dhat_hist[: cfg.n_e]
         phi[cfg.n_e] = z
-        phi[cfg.n_e + 1 :] = list(islice(self.z_hist, cfg.n_e))
+        phi[cfg.n_e + 1 :] = self.z_hist[: cfg.n_e]
         d_hat = float(phi @ self.theta)
         phi_f, dhat_f = self.filter_regressor()
 
@@ -461,7 +454,7 @@ class AiseFilter:
         else:
             recent = np.empty(cfg.tau_d)  # newest first
             recent[0] = z
-            recent[1:] = np.fromiter(islice(self.z_hist, cfg.tau_d - 1), float, cfg.tau_d - 1)
+            recent[1:] = self.z_hist[: cfg.tau_d - 1]
             lam = vrf_lambda(recent[::-1], cfg.tau_n, cfg.tau_d, cfg.alpha_vrf, self._f_crit)
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
@@ -471,7 +464,8 @@ class AiseFilter:
         delta = z - self._res_mean
         self._res_mean += delta / self._res_count
         self._res_m2 += delta * (z - self._res_mean)
-        self.z_hist.appendleft(z)
+        self.z_hist[1:] = self.z_hist[:-1]
+        self.z_hist[0] = z
 
         forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
         eta, v2 = self.adapt_noise_covariances(forecast_var)
@@ -480,7 +474,8 @@ class AiseFilter:
         self.data_assimilate(z, eta, v2)
         self.x_fc = self.model.A @ self.x_da + self.model.B * d_hat
 
-        self.dhat_hist.appendleft(d_hat)
+        self.dhat_hist[1:] = self.dhat_hist[:-1]
+        self.dhat_hist[0] = d_hat
         self.phi_hist[1:] = self.phi_hist[:-1]
         self.phi_hist[0] = phi
 
@@ -504,9 +499,7 @@ class AiseFilter:
         """Serialize config and full state; restoring continues bit-identically."""
         state = {"config": asdict(self.cfg)}
         state.update((key, getattr(self, attr)) for key, attr in _CHECKPOINT)
-        # The ndarrays and deques, which json cannot encode, go out as lists.
-        return json.dumps(
-            state, default=lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v))
+        return json.dumps(state, default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, payload):
@@ -517,10 +510,14 @@ class AiseFilter:
             raise ValueError(f"malformed checkpoint: missing {missing}, unknown {unknown}")
         filt = cls(from_fields(AiseConfig, state["config"]))
         for key, attr in _CHECKPOINT:
-            fresh, value = getattr(filt, attr), state[key]
-            if isinstance(fresh, np.ndarray):
-                value = np.asarray(value)
-            elif isinstance(fresh, deque):
-                value = deque(value, maxlen=fresh.maxlen)
-            setattr(filt, attr, value)
+            # One rule for every state value: a JSON number, or nested lists of them, with
+            # the shape the fresh filter gives it. Arrays come back as floats.
+            shape, value = np.shape(getattr(filt, attr)), state[key]
+            try:
+                array = np.asarray(value)
+            except ValueError:  # ragged lists
+                array = np.asarray(None)
+            if array.dtype.kind not in "if" or array.shape != shape:
+                raise ValueError(f"malformed checkpoint: {key!r} is not numbers of shape {shape}")
+            setattr(filt, attr, array.astype(float) if array.ndim else value)
         return filt

@@ -51,6 +51,7 @@ def test_config_default_parameter_set():
     dict(tau_d=5, tau_n=5),
     dict(eta_grid_points=1),
     dict(eta_rule="median"),
+    dict(n_f=1),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_estimate_input_zero_theta():
 
 def test_estimate_input_single_tap():
     f = make_filter(n_e=2)
-    f.dhat_hist.appendleft(1.0)  # phi[0] = 1
+    f.dhat_hist[0] = 1.0  # phi[0] = 1
     f.theta = np.array([0.7, 0.0, 0.0, 0.0, 0.0])
     f.step(0.0)
     assert f.last.d_hat == pytest.approx(0.7)
@@ -96,8 +97,8 @@ def test_estimate_input_single_tap():
 def test_estimate_input_dot_product():
     # regressor [d(k-1), z(k), z(k-1)] = [0.5, 2.0, 1.0] against [0.1, 0.2, 0.3]
     f = make_filter(n_e=1)
-    f.dhat_hist.appendleft(0.5)
-    f.z_hist.appendleft(1.0)
+    f.dhat_hist[0] = 0.5
+    f.z_hist[0] = 1.0
     f.x_fc = np.array([2.0])
     f.theta = np.array([0.1, 0.2, 0.3])
     f.step(0.0)  # z(k) = 2.0 - 0.0
@@ -122,7 +123,7 @@ def test_forecast_order1_hand_value():
     # give the next forecast 2.0 + t_s * 3.0.
     f = make_filter()
     f.x_fc = np.array([2.0])
-    f.dhat_hist.appendleft(1.0)
+    f.dhat_hist[0] = 1.0
     f.theta = np.zeros(f.cfg.l_theta)
     f.theta[0] = 3.0
     f.step(2.0)
@@ -170,8 +171,7 @@ def test_filter_regressor_direct_sum():
     f = make_filter(n_e=1, n_f=2)
     f.k = 5
     f.prodstack[0] = np.array([[2.0]])  # H_2 = 2 * t_s = 0.02
-    f.dhat_hist.appendleft(-1.0)
-    f.dhat_hist.appendleft(1.0)
+    f.dhat_hist[:2] = [1.0, -1.0]
     f.phi_hist[0] = [1.0, 0.0, 0.0]
     f.phi_hist[1] = [0.0, 1.0, 0.0]
     phi_f, dhat_f = f.filter_regressor()

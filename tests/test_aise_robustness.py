@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisepred.aise import (
+    AiseConfig,
     AiseFilter,
     InvalidSample,
     NumericalInvariantError,
@@ -178,14 +179,40 @@ def test_checkpoint_bytes_are_pinned(order):
     assert (digest(payload), digest(restored.to_json())) == PINNED_CHECKPOINTS[order]
 
 
+def test_small_window_checkpoint_bytes_are_pinned():
+    # Windows the benchmark tuning never has: z_hist is tau_d = 12 long, longer than
+    # n_e + n_f = 5, and the product stack has 2 rows. sha256 of to_json() after the
+    # first 200 samples of bursty_stream(4, 300), and after a restored filter takes the rest.
+    digest = lambda payload: hashlib.sha256(payload.encode()).hexdigest()
+    ys = bursty_stream(4, 300)
+    f = AiseFilter(AiseConfig(order=2, n_e=2, n_f=3, tau_n=3, tau_d=12))
+    for y in ys[:200]:
+        f.step(y)
+    payload = f.to_json()
+    restored = AiseFilter.from_json(payload)
+    for y in ys[200:]:
+        restored.step(y)
+    assert (digest(payload), digest(restored.to_json())) == (
+        "de5522eb366ccf2c864877105475bb5905e353dac0fc5b602b54c62713e4437a",
+        "eac54fc721e9025a09d7a3cf0dc8c5633a382ebdc23bc20ff96009b91f36fc71")
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda state: state.pop("z_hist"), "z_hist"),
     (lambda state: state.pop("res_count"), "res_count"),
     (lambda state: state.pop("config"), "config"),
     (lambda state: state.update(rls_cov=[]), "rls_cov"),
     (lambda state: state["config"].update(gain=2.0), "gain"),
+    (lambda state: state.update(z_hist=[0.0] * 10), "z_hist"),
+    (lambda state: state.update(theta=[0.0] * 3), "theta"),
+    (lambda state: state.update(k="7"), "k"),
+    (lambda state: state.update(res_mean=None), "res_mean"),
+    (lambda state: state.update(eta_k=[0.002]), "eta_k"),
+    (lambda state: state["phi_hist"][1].pop(), "phi_hist"),
+    (lambda state: state["p_inv"][0].__setitem__(0, "1.0"), "p_inv"),
 ], ids=["missing-z_hist", "missing-res_count", "missing-config", "unknown-key",
-        "unknown-config-field"])
+        "unknown-config-field", "short-z_hist", "short-theta", "string-k", "null-res_mean",
+        "list-eta_k", "ragged-phi_hist", "string-in-p_inv"])
 def test_malformed_checkpoint_is_rejected(edit, key):
     f = AiseFilter(benchmark_config(2))
     for y in bursty_stream(5)[:30]:

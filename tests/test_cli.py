@@ -254,6 +254,18 @@ def test_config_of_the_wrong_json_type_is_an_error(tmp_path, capsys, command, pa
     assert "must be a JSON object, got" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, record", [
+    ({"n_steps": "400"}, "ExperimentConfig"),
+    ({"aise": {"order1": {"r_theta": "x"}}}, "AiseConfig"),
+], ids=["n_steps-string", "r_theta-string"])
+def test_config_value_of_the_wrong_scalar_type_is_an_error(tmp_path, capsys, payload, record):
+    # Beside the wrong-container cases above: a string where a number goes is a usage
+    # error naming the record, not a TypeError traceback.
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert f"{record}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["differentiate", "--order", "2"],
     ["predict", "--method", "aise-fs", "--horizon", "20"],
