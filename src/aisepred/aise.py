@@ -127,11 +127,22 @@ def json_object(value, what):
     return value
 
 
+# The JSON types an integer field accepts: a bool or a float is not an integer.
+_INTEGER_TYPES = {int: (int,), int | None: (int, type(None))}
+
+
 def from_fields(cls, data):
-    """cls(**data), after checking that data is a JSON object of fields of the dataclass cls."""
+    """cls(**data), after checking that data is a JSON object of fields of the dataclass cls.
+
+    A field annotated int (or int | None) must hold an int; float fields take any number.
+    """
     unknown = set(json_object(data, cls.__name__)) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for f in fields(cls):
+        allowed = _INTEGER_TYPES.get(f.type)
+        if allowed and f.name in data and type(data[f.name]) not in allowed:
+            raise ValueError(f"{cls.__name__}: {f.name} must be an integer, got {data[f.name]!r}")
     try:
         return cls(**data)
     except TypeError as exc:  # a field of the wrong JSON type, e.g. a string where a number goes
@@ -349,55 +360,54 @@ class AiseFilter:
         self.p_inv, self._p_spare = p_new, p_old
 
     def adapt_noise_covariances(self, forecast_var=None):
-        """Choose the process-noise level and residual-noise variance for this step.
+        """Choose the process-noise level eta and residual-noise variance V2 for this step.
 
         Before the warmup horizon the configured initial level is used with
-        the running residual variance (1.0 until that exists). Afterwards the
-        residual-variance surplus is evaluated on a log-spaced grid of
-        candidate levels. Any grid point with a positive surplus, paired with
-        that surplus as the measurement-noise variance, reproduces the
-        empirical residual variance exactly, so all of them minimize the
-        matching cost; the eta_rule setting picks which one is returned:
+        the running residual variance (1.0 until that exists). Afterwards
+        eta + V2 must match the residual-variance surplus c = s_hat -
+        forecast_var, with V2 >= 0 and eta on the log-spaced grid from eta_l
+        to eta_u. The surplus c - eta falls as eta rises, so the grid points
+        that leave V2 = c - eta positive are the first m = searchsorted(grid,
+        c), all of which match c exactly; the eta_rule setting picks one:
 
-        * "interpolated": the level whose surplus is nearest the
-          beta-interpolated target between the smallest and largest positive
-          surplus. This parks the assimilation gain at a roughly
-          beta-sized value, which smooths the state estimate but starves the
-          input estimator of leverage on gentle trajectories.
-        * "floor": the smallest level with a positive surplus. This pushes
-          the assimilation gain as low as the matching allows, giving the
-          input estimator the long residual memory it needs to track.
-        * "scaled": the admissible level nearest t_s^2 times the residual
-          variance (the input-to-state injection gain squared), which holds
-          the assimilation gain in a narrow band across residual scales;
-          the weakly excited third-derivative channel needs this anchoring.
+        * "floor": the first, grid[0]. Every adapted step therefore has eta =
+          grid[0] and V2 = max(c - grid[0], 0), so eta_u and eta_grid_points
+          have no effect on a "floor" channel: only V2 adapts. This pushes the
+          assimilation gain as low as the matching allows, giving the input
+          estimator the long residual memory it needs to track.
+        * "scaled": the point of grid[:m] nearest in log to t_s^2 * s_hat (the
+          input-to-state injection gain squared, clipped to [eta_l, eta_u]),
+          which holds the assimilation gain in a narrow band across residual
+          scales; the weakly excited third-derivative channel needs this.
+        * "interpolated": the point whose V2 is nearest the beta-weighted
+          blend of the smallest and largest positive V2, which parks the
+          assimilation gain at a roughly beta-sized value. It smooths the
+          state estimate but starves the input estimator on gentle motion.
 
-        If no grid point has a positive surplus, the level with the smallest
-        absolute surplus is chosen with zero measurement noise.
+        If no grid point leaves V2 positive (c <= grid[0], or c is NaN), the
+        result is (grid[0], 0.0). eta is always a grid value, so it can differ
+        from eta_l in the last bit.
         """
         if self.k < self.adapt_start:
             s_hat = self.residual_variance()
             return self.cfg.eta_init, (s_hat if s_hat is not None else 1.0)
         if forecast_var is None:
             forecast_var = self._forecast_var()
+        cfg, grid = self.cfg, self._eta_grid
         s_hat = self._res_m2 / (self._res_count - 1)
-        surplus = s_hat - forecast_var - self._eta_grid
-        positive = surplus > 0.0
-        if positive.any():
-            if self.cfg.eta_rule == "floor":
-                idx = int(np.argmax(positive))
-            elif self.cfg.eta_rule == "scaled":
-                anchor = min(max(self.cfg.t_s**2 * s_hat, self.cfg.eta_l), self.cfg.eta_u)
-                cand = np.flatnonzero(positive)
-                offset = np.abs(np.log(self._eta_grid[cand]) - np.log(anchor))
-                idx = int(cand[np.argmin(offset)])
-            else:
-                pos_vals = surplus[positive]
-                target = self.cfg.beta * pos_vals.min() + (1.0 - self.cfg.beta) * pos_vals.max()
-                idx = int(np.argmin(np.abs(surplus - target)))
-            return float(self._eta_grid[idx]), float(surplus[idx])
-        idx = int(np.argmin(np.abs(surplus)))
-        return float(self._eta_grid[idx]), 0.0
+        c = s_hat - forecast_var
+        if not c > grid[0]:  # searchsorted would count a NaN c past the whole grid
+            return float(grid[0]), 0.0
+        m = int(np.searchsorted(grid, c))
+        if cfg.eta_rule == "floor":
+            idx = 0
+        elif cfg.eta_rule == "scaled":
+            anchor = min(max(cfg.t_s**2 * s_hat, cfg.eta_l), cfg.eta_u)
+            idx = int(np.argmin(np.abs(np.log(grid[:m]) - np.log(anchor))))
+        else:
+            target = cfg.beta * (c - grid[m - 1]) + (1.0 - cfg.beta) * (c - grid[0])
+            idx = int(np.argmin(np.abs((c - grid[:m]) - target)))
+        return float(grid[idx]), float(c - grid[idx])
 
     def _forecast_var(self):
         return float(self.model.A[0] @ self.P_da @ self.model.A[0])
@@ -520,4 +530,10 @@ class AiseFilter:
             if array.dtype.kind not in "if" or array.shape != shape:
                 raise ValueError(f"malformed checkpoint: {key!r} is not numbers of shape {shape}")
             setattr(filt, attr, array.astype(float) if array.ndim else value)
+        # A step counts its residual before it counts itself, so res_count >= k.
+        for key in ("k", "res_count"):
+            if type(state[key]) is not int or state[key] < 0:
+                raise ValueError(f"malformed checkpoint: {key!r} is not a non-negative integer")
+        if state["res_count"] < state["k"]:
+            raise ValueError("malformed checkpoint: 'res_count' is smaller than 'k'")
         return filt

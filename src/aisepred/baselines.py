@@ -45,14 +45,10 @@ class ButterworthCascade:
 
     def step(self, x):
         """Filter one sample."""
-        x = float(x)
-        if self._zi is None:
-            self._zi = self._zi_unit * x
-        y, self._zi = sosfilt(self.sections, [x], zi=self._zi)
-        return float(y[0])
+        return float(self.filter([x])[0])
 
     def filter(self, xs):
-        """Filter a whole stream in one call; equals step() sample by sample, bit for bit."""
+        """Filter a whole stream in one call; equals filtering it sample by sample, bit for bit."""
         xs = np.asarray(xs, dtype=float)
         if not len(xs):
             return np.empty(0)
@@ -85,21 +81,14 @@ class BdbDifferentiator:
 
     def step(self, p):
         """Returns (velocity, acceleration) estimates for this sample."""
-        y = self.cascade.step(p)
-        if self._y1 is None:
-            self._y1 = self._y2 = y
-        v = (y - self._y1) / self.t_s
-        a = (y - 2.0 * self._y1 + self._y2) / self.t_s**2
-        self._y2 = self._y1
-        self._y1 = y
-        self.filtered = y
-        return v, a
+        v, a, _ = self.run([p])
+        return float(v[0]), float(a[0])
 
     def run(self, ps):
-        """Whole-stream step(): (velocity, acceleration, filtered position) arrays.
+        """(velocity, acceleration, filtered position) arrays for a whole stream.
 
         The backward differences are index shifts of the filtered stream; the
-        result equals step() stacked sample by sample, bit for bit.
+        result equals running it sample by sample, bit for bit.
         """
         y = self.cascade.filter(ps)
         if not len(y):

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -266,29 +266,22 @@ def run_experiment(config, out_dir=None):
 
 
 def config_to_dict(config):
-    """JSON-ready dict of every experiment parameter (schema version 1)."""
-    return {
-        "schema_version": 1,
-        "scenario": config.scenario,
-        "n_steps": config.n_steps,
-        "k0": config.k0,
-        "horizon": config.horizon,
-        "sigma": config.sigma,
-        "seed": config.seed,
-        "t_s": config.t_s,
-        "methods": list(config.methods),
-        "rmse_form": config.rmse_form,
-        "truth_derivatives": config.truth_derivatives,
-        "anchor_on_estimate": config.anchor_on_estimate,
-        "aise": {
-            f"order{order}": asdict(config.aise_config(order)) for order in (1, 2, 3)
-        },
-        "butterworth": {
-            "order": config.butterworth_order,
-            "cutoff": config.butterworth_cutoff,
-        },
-        "tracking_index": config.tracking_index,
-    }
+    """JSON-ready dict of every experiment parameter (schema version 1).
+
+    The fields of ExperimentConfig in order, except that aise_orderN (resolved
+    through aise_config) and butterworth_* sit in nested aise and butterworth blocks.
+    """
+    out = {"schema_version": 1}
+    for f in fields(ExperimentConfig):
+        value = getattr(config, f.name)
+        block, _, key = f.name.partition("_")
+        if block == "aise":
+            out.setdefault(block, {})[key] = asdict(config.aise_config(int(key[-1])))
+        elif block == "butterworth":
+            out.setdefault(block, {})[key] = value
+        else:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def config_from_dict(data):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aisepred.aise import (
@@ -7,6 +9,7 @@ from aisepred.aise import (
     AiseFilter,
     benchmark_config,
     f_critical,
+    from_fields,
     vrf_lambda,
 )
 
@@ -56,6 +59,19 @@ def test_config_default_parameter_set():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         AiseConfig(**bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_e", 2.5), ("order", True), ("eta_grid_points", 50.0), ("n_f", None), ("adapt_start", 60.0),
+])
+def test_integer_field_holds_an_int(field, value):
+    with pytest.raises(ValueError, match=f"AiseConfig: {field} must be an integer, got {value}"):
+        from_fields(AiseConfig, {field: value})
+
+
+def test_float_field_takes_an_int():
+    cfg = from_fields(AiseConfig, {"r_theta": 1, "eta_u": 1, "adapt_start": None})
+    assert (cfg.r_theta, cfg.eta_u, cfg.adapt_start) == (1, 1, None)
 
 
 def test_benchmark_config_orders():
@@ -370,6 +386,66 @@ def test_adapt_minimizer_property(rule):
         assert achieved <= enumerated + 1e-15
         assert f.cfg.eta_l <= eta <= f.cfg.eta_u
         assert v2 >= 0.0
+
+
+def grid_search_reference(f, forecast_var):
+    """The adapted branch of adapt_noise_covariances as a search over the whole grid."""
+    s_hat = f._res_m2 / (f._res_count - 1)
+    surplus = s_hat - forecast_var - f._eta_grid
+    positive = surplus > 0.0
+    if positive.any():
+        if f.cfg.eta_rule == "floor":
+            idx = int(np.argmax(positive))
+        elif f.cfg.eta_rule == "scaled":
+            anchor = min(max(f.cfg.t_s**2 * s_hat, f.cfg.eta_l), f.cfg.eta_u)
+            cand = np.flatnonzero(positive)
+            offset = np.abs(np.log(f._eta_grid[cand]) - np.log(anchor))
+            idx = int(cand[np.argmin(offset)])
+        else:
+            pos_vals = surplus[positive]
+            target = f.cfg.beta * pos_vals.min() + (1.0 - f.cfg.beta) * pos_vals.max()
+            idx = int(np.argmin(np.abs(surplus - target)))
+        return float(f._eta_grid[idx]), float(surplus[idx])
+    idx = int(np.argmin(np.abs(surplus)))
+    return float(f._eta_grid[idx]), 0.0
+
+
+@st.composite
+def surplus_cases(draw):
+    """A config and a residual-variance surplus c on, next to, or far from its grid."""
+    eta_l = draw(st.floats(1e-9, 1e-1))
+    eta_u = eta_l * 10.0 ** draw(st.sampled_from([0.0, 0.5, 3.0, 8.0]))
+    cfg = AiseConfig(
+        order=1, t_s=draw(st.floats(1e-3, 10.0)), n_e=1, n_f=2,
+        eta_l=eta_l, eta_u=eta_u, eta_init=eta_l, beta=draw(st.sampled_from([0.0, 0.55, 1.0])),
+        eta_grid_points=draw(st.integers(2, 60)),
+        eta_rule=draw(st.sampled_from(["floor", "scaled", "interpolated"])),
+    )
+    grid = AiseFilter(cfg)._eta_grid
+    on_grid = float(grid[draw(st.integers(0, len(grid) - 1))])
+    c = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.sampled_from([-np.inf, 0.0, np.inf]).map(lambda to: float(np.nextafter(on_grid, to))),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 2.0 * eta_u),
+    ))
+    forecast_var = draw(st.sampled_from([0.0, 1e-7, 0.25]))
+    return cfg, c, forecast_var
+
+
+# An infinite c puts 0 * inf into the beta blend of both forms when beta is 0 or 1.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(case=surplus_cases())
+def test_adapt_closed_form_matches_grid_search(case):
+    # The residual variance is c + forecast_var, so the surplus is c when forecast_var
+    # is 0 and c rounded through that sum otherwise.
+    cfg, c, forecast_var = case
+    f = AiseFilter(cfg)
+    f.k, f._res_count, f._res_m2 = f.adapt_start, 2, c + forecast_var
+    got = f.adapt_noise_covariances(forecast_var)
+    assert got == grid_search_reference(f, forecast_var)
+    assert all(type(value) is float for value in got)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,24 @@ def test_bursty_stream_fires_forgetting():
     assert min(lams) < 1.0
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_floor_rule_adapts_only_v2(order):
+    # Under eta_rule="floor" eta is the first grid point on every adapted step,
+    # and V2 is what is left of the residual-variance surplus, or zero.
+    f = AiseFilter(benchmark_config(order))
+    assert f.cfg.eta_rule == "floor"
+    adapted = 0
+    for y in bursty_stream(3, 400):
+        f.step(y)
+        last = f.last
+        if last.k < f.adapt_start:
+            continue
+        adapted += 1
+        assert last.eta == f._eta_grid[0]
+        assert last.v2 == max(last.s_hat - last.forecast_var - f._eta_grid[0], 0.0)
+    assert adapted == 400 - f.adapt_start
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_bad_sample_leaves_state_unchanged(order, bad):
@@ -210,9 +228,16 @@ def test_small_window_checkpoint_bytes_are_pinned():
     (lambda state: state.update(eta_k=[0.002]), "eta_k"),
     (lambda state: state["phi_hist"][1].pop(), "phi_hist"),
     (lambda state: state["p_inv"][0].__setitem__(0, "1.0"), "p_inv"),
+    (lambda state: state.update(k=7.5, res_count=2.5), "k"),
+    (lambda state: state.update(res_count=30.0), "res_count"),
+    (lambda state: state.update(k=True), "k"),
+    (lambda state: state.update(k=-1), "k"),
+    (lambda state: state.update(res_count=0), "res_count"),
+    (lambda state: state.update(res_count=29), "res_count"),
 ], ids=["missing-z_hist", "missing-res_count", "missing-config", "unknown-key",
         "unknown-config-field", "short-z_hist", "short-theta", "string-k", "null-res_mean",
-        "list-eta_k", "ragged-phi_hist", "string-in-p_inv"])
+        "list-eta_k", "ragged-phi_hist", "string-in-p_inv", "float-counters", "float-res_count",
+        "bool-k", "negative-k", "zero-res_count", "res_count-below-k"])
 def test_malformed_checkpoint_is_rejected(edit, key):
     f = AiseFilter(benchmark_config(2))
     for y in bursty_stream(5)[:30]:

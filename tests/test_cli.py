@@ -257,10 +257,15 @@ def test_config_of_the_wrong_json_type_is_an_error(tmp_path, capsys, command, pa
 @pytest.mark.parametrize("payload, record", [
     ({"n_steps": "400"}, "ExperimentConfig"),
     ({"aise": {"order1": {"r_theta": "x"}}}, "AiseConfig"),
-], ids=["n_steps-string", "r_theta-string"])
+    ({"n_steps": 400.5, "k0": 100, "horizon": 50}, "ExperimentConfig"),
+    ({"aise": {"order1": {"n_e": 2.5}}}, "AiseConfig"),
+    ({"seed": True}, "ExperimentConfig"),
+    ({"aise": {"order3": {"adapt_start": 60.0}}}, "AiseConfig"),
+], ids=["n_steps-string", "r_theta-string", "n_steps-float", "n_e-float", "seed-bool",
+        "adapt_start-float"])
 def test_config_value_of_the_wrong_scalar_type_is_an_error(tmp_path, capsys, payload, record):
-    # Beside the wrong-container cases above: a string where a number goes is a usage
-    # error naming the record, not a TypeError traceback.
+    # Beside the wrong-container cases above: a string where a number goes, or a float
+    # or bool where an integer goes, is a usage error naming the record, not a traceback.
     (tmp_path / "cfg.json").write_text(json.dumps(payload))
     assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
     assert f"{record}: " in capsys.readouterr().err
