@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg.blas import dgemm
 from scipy.special import betaincinv
 
 from .integrators import build_integrator
@@ -190,6 +191,25 @@ def f_critical(dfn, dfd, quantile=0.99):
     return dfd * w / (dfn * (1.0 - w))
 
 
+def _add_reduce(x):
+    """sum(x) with the bits of np.add.reduce on a float64 array: 0.0 plus numpy's pairwise sum."""
+    n = len(x)
+    if n > 128:  # numpy splits a long run in two at a multiple of 8
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(x[:half]) + _add_reduce(x[half:])
+    total, end = 0.0, n - n % 8
+    if end:  # 8 accumulators, then the tail; a run shorter than 8 is summed in order
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+        for i in range(8, end, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = x[i : i + 8]
+            r0, r1, r2, r3, r4, r5, r6, r7 = (
+                r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7)
+        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in x[end:]:
+        total += v
+    return total
+
+
 def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     """Forgetting factor from a one-sided variance-ratio test on the residuals.
 
@@ -198,18 +218,17 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     tau_d - 1) degrees of freedom, the factor drops below one,
     lambda = 1 / (1 + alpha_vrf * (F - F_crit)); otherwise it stays at one.
     Fewer than tau_d residuals, or a zero denominator variance, mean no
-    evidence of change and return 1.
+    evidence of change and return 1. z_history is a list or 1-D array, oldest first.
     """
-    z = np.asarray(z_history, dtype=float)
-    if len(z) < tau_d:
+    if len(z_history) < tau_d:
         return 1.0
-    # np.var(ddof=1) without its wrapper: the same sums over the same views.
-    dev_n = z[-tau_n:] - np.add.reduce(z[-tau_n:]) / tau_n
-    dev_d = z[-tau_d:] - np.add.reduce(z[-tau_d:]) / tau_d
-    var_d = float(np.add.reduce(dev_d * dev_d)) / (tau_d - 1)
+    # np.var(ddof=1) in scalar arithmetic, summed in numpy's order.
+    z_n, z_d = z_history[-tau_n:], z_history[-tau_d:]
+    mean_n, mean_d = _add_reduce(z_n) / tau_n, _add_reduce(z_d) / tau_d
+    var_d = _add_reduce([(v - mean_d) * (v - mean_d) for v in z_d]) / (tau_d - 1)
     if var_d <= 0.0:
         return 1.0
-    ratio = float(np.add.reduce(dev_n * dev_n)) / (tau_n - 1) / var_d
+    ratio = _add_reduce([(v - mean_n) * (v - mean_n) for v in z_n]) / (tau_n - 1) / var_d
     if f_crit is None:
         f_crit = f_critical(tau_n - 1, tau_d - 1)
     if ratio > f_crit:
@@ -244,9 +263,9 @@ class AiseFilter:
         self.model = build_integrator(config.order, config.t_s)
         self.adapt_start = config.adapt_start if config.adapt_start is not None else config.n_f
         self._f_crit = f_critical(config.tau_n - 1, config.tau_d - 1)
-        self._eta_grid = np.logspace(
-            np.log10(config.eta_l), np.log10(config.eta_u), config.eta_grid_points
-        )
+        self._eta_grid = np.logspace(np.log10(config.eta_l), np.log10(config.eta_u),
+                                     config.eta_grid_points)
+        self._log_eta_grid = np.log(self._eta_grid)
         self._r_inf_mat = config.r_inf * np.eye(config.l_theta)
         self.reset()
 
@@ -261,8 +280,8 @@ class AiseFilter:
         self.theta = np.zeros(lt)
         # RLS covariance kept in information form; P_rls is its inverse.
         self.p_inv = cfg.r_theta * np.eye(lt)
-        # rls_update scratch: not part of the state, never aliases p_inv.
-        self._p_spare, self._outer = np.empty((lt, lt)), np.empty((lt, lt))
+        # Scratch, not state: the next information matrix and the closed-loop matrix.
+        self._p_spare, self._abar = np.empty((lt, lt)), self.model.A.copy()
         self.x_fc = np.zeros(n)
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
@@ -309,25 +328,25 @@ class AiseFilter:
     def filter_regressor(self):
         """Filtered regressor row and filtered input estimate over the last n_f steps."""
         H = self._filter_weights()
-        return H @ self.phi_hist, float(H @ self.dhat_hist[: self.cfg.n_f])
+        return np.dot(H, self.phi_hist), float(np.dot(H, self.dhat_hist[: self.cfg.n_f]))
 
     def _factor_information(self, p_inv):
         """Lower Cholesky factor of the information matrix, with one lifted retry.
 
         Exact arithmetic keeps the matrix positive definite (it is a sum of a
         scaled positive-definite matrix and outer products), and every term is
-        symmetric elementwise, so factoring its lower triangle loses nothing.
+        symmetric elementwise, so factoring its transpose (no transposing copy) loses nothing.
         A failed factorization at machine-precision scale is retried once with
         an epsilon-sized diagonal lift. A failure beyond that scale is a genuine
         invariant violation and raises.
         """
-        c, info = _POTRF(p_inv, lower=1, clean=0)
+        c, info = _POTRF(p_inv.T, lower=1, clean=0)
         if info == 0:
             return c, p_inv
         lift = 1e-12 * float(np.max(np.diag(p_inv)))
         if lift > 0:
             p_inv = p_inv + lift * np.eye(len(p_inv))
-            c, info = _POTRF(p_inv, lower=1, clean=0)
+            c, info = _POTRF(p_inv.T, lower=1, clean=0)
         if info != 0:
             raise NumericalInvariantError(self.k, "RLS information matrix lost positive definiteness")
         return c, p_inv
@@ -339,19 +358,18 @@ class AiseFilter:
         factors, so a failure changes nothing; callers that keep p_inv must copy it.
         """
         cfg = self.cfg
-        p_old, p_new, outer = self.p_inv, self._p_spare, self._outer
-        if p_new.shape != p_old.shape:  # p_inv was assigned from outside
-            p_new, outer = np.empty(p_old.shape), np.empty(p_old.shape)
-            self._outer = outer
+        p_old, p_new = self.p_inv, self._p_spare
+        # The spare is the last p_inv: one assigned from outside may not suit dgemm's c=p_new.T.
+        if not (p_new.flags.writeable and p_new.flags.c_contiguous and p_new.shape == p_old.shape):
+            p_new = np.empty(p_old.shape)
         np.multiply(p_old, lam, out=p_new)  # exact copy when lam == 1
         if lam != 1.0:
             p_new += (1.0 - lam) * self._r_inf_mat
         for weight, v in ((cfg.r_z, phi_f), (cfg.r_d, phi)):
-            np.multiply.outer(v, v, out=outer)
-            outer *= weight
-            p_new += outer
-        rhs = cfg.r_z * (z - dhat_f + float(phi_f @ self.theta)) * phi_f
-        rhs += cfg.r_d * float(phi @ self.theta) * phi
+            # p_new + (v v^T) * weight in place: numpy's bits, but -0.0 plus a zero term is +0.0.
+            dgemm(weight, v[:, None], v[None, :], beta=1.0, c=p_new.T, overwrite_c=1)
+        rhs = cfg.r_z * (z - dhat_f + float(np.dot(phi_f, self.theta))) * phi_f
+        rhs += cfg.r_d * float(np.dot(phi, self.theta)) * phi
         if not (np.isfinite(p_new).all() and np.isfinite(rhs).all()):
             raise NumericalInvariantError(self.k, "RLS update is not finite")
         factor, p_new = self._factor_information(p_new)
@@ -398,19 +416,19 @@ class AiseFilter:
         c = s_hat - forecast_var
         if not c > grid[0]:  # searchsorted would count a NaN c past the whole grid
             return float(grid[0]), 0.0
-        m = int(np.searchsorted(grid, c))
         if cfg.eta_rule == "floor":
-            idx = 0
-        elif cfg.eta_rule == "scaled":
+            return float(grid[0]), float(c - grid[0])
+        m = int(np.searchsorted(grid, c))
+        if cfg.eta_rule == "scaled":
             anchor = min(max(cfg.t_s**2 * s_hat, cfg.eta_l), cfg.eta_u)
-            idx = int(np.argmin(np.abs(np.log(grid[:m]) - np.log(anchor))))
+            idx = int(np.argmin(np.abs(self._log_eta_grid[:m] - np.log(anchor))))
         else:
             target = cfg.beta * (c - grid[m - 1]) + (1.0 - cfg.beta) * (c - grid[0])
             idx = int(np.argmin(np.abs((c - grid[:m]) - target)))
         return float(grid[idx]), float(c - grid[idx])
 
     def _forecast_var(self):
-        return float(self.model.A[0] @ self.P_da @ self.model.A[0])
+        return float(np.dot(np.dot(self.model.A[0], self.P_da), self.model.A[0]))
 
     def data_assimilate(self, z, eta, v2):
         """Measurement update and forecast-covariance propagation.
@@ -422,19 +440,18 @@ class AiseFilter:
         innov_var = self.P_fc[0, 0] + v2
         if innov_var <= 0.0:
             raise NumericalInvariantError(self.k, "innovation variance not positive")
-        gain = -self.P_fc[:, 0] / innov_var
+        gain = self.P_fc[:, 0] / -innov_var
         self.x_da = self.x_fc + gain * z
-        P_da = self.P_fc + np.outer(gain, self.P_fc[0, :])
+        P_da = self.P_fc + gain[:, None] * self.P_fc[0]
         self.P_da = 0.5 * (P_da + P_da.T)
         if self.k >= 1:
             # Closed-loop matrix A(I + K C): A with its first column shifted by A @ K.
-            abar = A.copy()
-            abar[:, 0] += A @ gain
+            self._abar[:, 0] = A[:, 0] + np.dot(A, gain)
             # Shifted in place: numpy gives overlapping operands the non-overlapping result.
-            np.matmul(abar, self.prodstack[:-1], out=self.prodstack[1:])
-            self.prodstack[0] = abar
-        P_fc = A @ self.P_da @ A.T
-        P_fc.flat[:: len(P_fc) + 1] += eta
+            np.matmul(self._abar, self.prodstack[:-1], out=self.prodstack[1:])
+            self.prodstack[0] = self._abar
+        P_fc = np.dot(np.dot(A, self.P_da), A.T)
+        P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: np.dot returns a C-ordered array
         self.P_fc = 0.5 * (P_fc + P_fc.T)
         return self.x_da, gain, self.P_da, self.P_fc
 
@@ -456,16 +473,14 @@ class AiseFilter:
         phi[: cfg.n_e] = self.dhat_hist[: cfg.n_e]
         phi[cfg.n_e] = z
         phi[cfg.n_e + 1 :] = self.z_hist[: cfg.n_e]
-        d_hat = float(phi @ self.theta)
+        d_hat = float(np.dot(phi, self.theta))
         phi_f, dhat_f = self.filter_regressor()
 
         if self.k < cfg.tau_d:
             lam = 1.0
-        else:
-            recent = np.empty(cfg.tau_d)  # newest first
-            recent[0] = z
-            recent[1:] = self.z_hist[: cfg.tau_d - 1]
-            lam = vrf_lambda(recent[::-1], cfg.tau_n, cfg.tau_d, cfg.alpha_vrf, self._f_crit)
+        else:  # the last tau_d residuals, oldest first
+            recent = self.z_hist[cfg.tau_d - 2 :: -1].tolist() + [z]
+            lam = vrf_lambda(recent, cfg.tau_n, cfg.tau_d, cfg.alpha_vrf, self._f_crit)
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
 
@@ -482,7 +497,7 @@ class AiseFilter:
         self.eta_k, self.v2_k = eta, v2
 
         self.data_assimilate(z, eta, v2)
-        self.x_fc = self.model.A @ self.x_da + self.model.B * d_hat
+        self.x_fc = np.dot(self.model.A, self.x_da) + self.model.B * d_hat
 
         self.dhat_hist[1:] = self.dhat_hist[:-1]
         self.dhat_hist[0] = d_hat

@@ -1,4 +1,4 @@
-"""Bad samples, checkpoint restore and the variance-ratio arithmetic of AiseFilter."""
+"""Bad samples, checkpoint restore, per-step pins, RLS buffers and the arithmetic of AiseFilter."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dgemm
 
 from aisepred.aise import (
     AiseConfig,
@@ -17,6 +18,7 @@ from aisepred.aise import (
     f_critical,
     vrf_lambda,
 )
+from aisepred.scenarios import add_noise, truth_arrays
 
 N_STREAM = 160
 
@@ -149,6 +151,63 @@ def test_vrf_lambda_matches_np_var_bit_for_bit(scale):
 
 
 @settings(max_examples=30, deadline=None)
+@given(z=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0]),
+                  min_size=40, max_size=40),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       crit=st.sampled_from([0.25, 2.0, f_critical(4, 24)]))
+def test_vrf_lambda_matches_np_var_at_every_window_length(z, scale, crit):
+    # The scalar sums follow numpy's order at every length: sequential below 8 terms,
+    # 8 accumulators from 8 on. alpha = 1 makes lambda sensitive to the last bit.
+    z = [v * scale for v in z]
+    for tau_d in range(3, 41):
+        for tau_n in range(2, tau_d):
+            lam = vrf_lambda(z, tau_n, tau_d, 1.0, crit)
+            assert lam == vrf_lambda_reference(z, tau_n, tau_d, 1.0, crit)
+        assert vrf_lambda(np.array(z), 2, tau_d, 1.0, crit) == vrf_lambda(z, 2, tau_d, 1.0, crit)
+    # Past 128 terms numpy sums each half of the run on its own.
+    long = [v * (1.0 + i / 320) for i, v in enumerate(z * 8)]
+    for tau_n, tau_d in ((9, 129), (150, 320), (200, 257)):
+        assert vrf_lambda(long, tau_n, tau_d, 1.0, crit) == vrf_lambda_reference(
+            long, tau_n, tau_d, 1.0, crit)
+
+
+@st.composite
+def rank_one_cases(draw):
+    """A matrix, a vector and a weight, with magnitudes from 1e-100 to 1e100 and signed zeros."""
+    size = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 25, 51, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 101, size=shape)
+        zero = rng.random(shape) < 0.1
+        x[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
+        return x
+
+    weight = draw(st.sampled_from([1.0, 0.1]) | st.floats(1e-6, 1e6))
+    return values((size, size)), values(size), weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rank_one_cases())
+def test_dgemm_rank_one_update_matches_numpy_outer(case):
+    # The in-place accumulate of AiseFilter.rls_update gives the bits of the numpy form,
+    # with one exception: BLAS sums the product from +0.0, so where an entry of p is -0.0
+    # and v_i v_j is a zero, the result is +0.0 where numpy keeps -0.0. The filter's p_inv
+    # starts with no -0.0 entry and gets one only if lambda times a negative subnormal
+    # entry underflows to it.
+    p, v, weight = case
+    expected = p + np.multiply.outer(v, v) * weight
+    got = p.copy()
+    dgemm(weight, v[:, None], v[None, :], beta=1.0, c=got.T, overwrite_c=1)
+    differ = got.view(np.int64) != expected.view(np.int64)
+    signed_zero = np.signbit(p) & (p == 0.0) & (np.multiply.outer(v, v) == 0.0)
+    assert not (differ & ~signed_zero).any()
+    assert (got[differ] == 0.0).all() and not np.signbit(got[differ]).any()
+    if not signed_zero.any():
+        assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
 @given(order=st.sampled_from([1, 2, 3]),
        seed=st.integers(0, 2**16),
        split=st.integers(0, N_STREAM))
@@ -246,3 +305,79 @@ def test_malformed_checkpoint_is_rejected(edit, key):
     edit(state)
     with pytest.raises(ValueError, match=f"'{key}'"):
         AiseFilter.from_json(json.dumps(state))
+
+
+def helix_column(axis, seed, n):
+    """One axis of the benchmark helix with N(0, 0.1^2) measurement noise."""
+    return add_noise(truth_arrays("helical", n - 1, 0.01)[0], 0.1, seed)[:, axis]
+
+
+# Configs whose every step is pinned: the benchmark orders, an "interpolated" channel,
+# small windows (z_hist longer than n_e + n_f, a 2-row product stack) and variance
+# windows of 9 and 40 residuals. Forgetting fires on every one of them.
+STEP_PIN_CONFIGS = {
+    "benchmark-o1": benchmark_config(1),
+    "benchmark-o2": benchmark_config(2),
+    "benchmark-o3": benchmark_config(3),
+    "interpolated-o2": AiseConfig(order=2, r_theta=1e-2),
+    "small-window-o3": AiseConfig(order=3, n_e=2, n_f=3, tau_n=3, tau_d=30, alpha_vrf=0.5),
+    "long-vrf-o2": AiseConfig(order=2, r_theta=1e-2, tau_n=9, tau_d=40, alpha_vrf=0.5),
+}
+
+# sha256 over every step of bursty_stream(6, 1200) and the x and z helix columns
+# (seed 8, 1200 samples): the estimate, each field of `last`, and to_json() every 300
+# steps, with the filter replaced by its restored checkpoint at step 600.
+PINNED_STEPS = {
+    "benchmark-o1": "9db9a5674382e7a75e7c29b3423570271be307a43428684e8f55f49bfc7b7aa2",
+    "benchmark-o2": "4911cb471c6f11f1ff314ab40a2812b4dfec8c07c487b56ae400c88ff1a2b4e0",
+    "benchmark-o3": "0be8bbdcadd61e3143661880d35c55063dc900dce688d6de9566966afbc81bde",
+    "interpolated-o2": "854433e5b1e02426f6638ab85a94873f882fc1e0d60662cef32b7f2b1a814c7e",
+    "small-window-o3": "2dc459e69d17d5f03924d68a4e457aece0a295ed24fc45a606d87728fd677881",
+    "long-vrf-o2": "fc8d4391ba44d8fbfed196b2d27497b2a7702db2c62cab256d63bd66d0b419a7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PIN_CONFIGS))
+def test_every_step_is_pinned(name):
+    digest, forgetting = hashlib.sha256(), 0
+    for ys in (bursty_stream(6, 1200), helix_column(0, 8, 1200), helix_column(2, 8, 1200)):
+        f = AiseFilter(STEP_PIN_CONFIGS[name])
+        for i, y in enumerate(ys):
+            estimate, last = f.step(y), f.last
+            values = [estimate, last.k, last.z, last.d_hat, last.dhat_f, last.lam,
+                      last.eta, last.v2, last.s_hat, last.forecast_var]
+            digest.update(repr([v if v is None else float(v) for v in values]).encode())
+            digest.update(last.phi.tobytes() + last.phi_f.tobytes())
+            forgetting += last.lam < 1.0
+            if i % 300 == 299:
+                payload = f.to_json()
+                digest.update(payload.encode())
+                if i == 599:
+                    f = AiseFilter.from_json(payload)
+    assert forgetting > 0
+    assert digest.hexdigest() == PINNED_STEPS[name]
+
+
+@pytest.mark.parametrize("layout", ["read-only", "fortran", "transposed"])
+def test_filter_owns_its_rls_buffers(layout):
+    # A p_inv assigned from outside becomes the RLS spare a step later. The filter must
+    # not reuse it when it is read-only (numpy refuses the write) or not C-ordered (dgemm
+    # would update a copy and the step would lose its rank-one terms).
+    ys = bursty_stream(7)
+    f = AiseFilter(benchmark_config(2))
+    twin = AiseFilter(benchmark_config(2))
+    for y in ys[:50]:
+        f.step(y)
+        twin.step(y)
+    p_inv = twin.p_inv.copy()
+    if layout == "read-only":
+        p_inv.setflags(write=False)
+    elif layout == "fortran":
+        p_inv = np.asfortranarray(p_inv)
+    else:  # a view of a copy: p_inv is symmetric, so it holds the same values
+        p_inv = p_inv.copy().T
+    f.p_inv = p_inv
+    for y in ys[50:]:
+        assert f.step(y) == twin.step(y)
+        np.testing.assert_array_equal(f.p_inv, twin.p_inv)
+    assert f.to_json() == twin.to_json()
