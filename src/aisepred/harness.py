@@ -42,6 +42,8 @@ __all__ = [
 _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
 # Rows of trace.csv formatted per write: larger blocks raise peak RSS.
 _TRACE_BLOCK_ROWS = 100
+# Bytes of predictions.csv read back per block when a prediction set is copied.
+_COPY_BLOCK_BYTES = 1 << 18
 
 
 def normalize_method(name):
@@ -91,6 +93,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(normalize_method(m) for m in self.methods))
         if not self.methods:
             raise ValueError("at least one prediction method is required")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"method {max(self.methods, key=self.methods.count)} is repeated")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.k0 < 0:
@@ -230,9 +234,16 @@ def run_experiment(config, out_dir=None):
                        jerk="AISE/FS" in config.methods or out_dir is not None)
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
-    traces = {}
+    # Methods reading one record through one predictor (with truth_derivatives, all
+    # /va methods) share one prediction set; the first predicts and scores it.
+    traces, report_methods, first_of = {}, {}, {}
     for method in config.methods:
-        record = est["aise" if config.truth_derivatives else method_family(method)]
+        family = "aise" if config.truth_derivatives else method_family(method)
+        first = first_of.setdefault((family, method == "AISE/FS"), method)
+        if first != method:
+            traces[method], report_methods[method] = traces[first], report_methods[first].copy()
+            continue
+        record = est[family]
         v, a, j = record["v"], record["a"], record.get("j")
         anchors = record["p"] if config.anchor_on_estimate else measurements
         traces[method] = [
@@ -241,11 +252,9 @@ def run_experiment(config, out_dir=None):
                     config.horizon, t_s, anchor_step=k)
             for k in range(first_anchor, last_anchor + 1)
         ]
+        report_methods[method] = rmse(P[: n_steps + 1], traces[method], config.horizon,
+                                      config.k0, config.rmse_form)
 
-    report_methods = {
-        m: rmse(P[: n_steps + 1], traces[m], config.horizon, config.k0, config.rmse_form)
-        for m in config.methods
-    }
     resolved = config_to_dict(config)
     resolved["sigma"] = sigma
     report = RmseReport(
@@ -372,9 +381,25 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est,
             cols = [range(lo, hi)] + [c for part in table for c in part[lo:hi].T.tolist()]
             fh.write(format_csv_lines(cols))
 
-    with open(os.path.join(out_dir, "predictions.csv"), "w") as fh:
-        fh.write("anchor,method,l,x,y,z\n")
+    # A set already written is read back in line-aligned blocks and renamed, not re-formatted.
+    path = os.path.join(out_dir, "predictions.csv")
+    with open(path, "wb") as fh, open(path, "rb") as src:
+        fh.write(b"anchor,method,l,x,y,z\n")
+        sections = {}  # id of a trace list -> (method, start, end) of its section
         for method in config.methods:
-            for trace in traces[method]:
-                fh.write(format_csv_lines([range(1, trace.horizon + 1), *trace.positions.T.tolist()],
-                                          prefix=f"{trace.anchor_step},{method},"))
+            if id(traces[method]) not in sections:
+                start = fh.tell()
+                for tr in traces[method]:
+                    fh.write(format_csv_lines([range(1, tr.horizon + 1), *tr.positions.T.tolist()],
+                                              prefix=f"{tr.anchor_step},{method},").encode())
+                sections[id(traces[method])] = method, start, fh.tell()
+                continue
+            first, start, end = sections[id(traces[method])]
+            old, new, carry = f",{first},".encode(), f",{method},".encode(), b""
+            fh.flush()
+            src.seek(start)
+            for pos in range(start, end, _COPY_BLOCK_BYTES):
+                block = carry + src.read(min(_COPY_BLOCK_BYTES, end - pos))
+                cut = block.rfind(b"\n") + 1
+                fh.write(block[:cut].replace(old, new))
+                carry = block[cut:]

@@ -170,6 +170,12 @@ def test_experiment_invalid_config_is_error(capsys):
     assert "k0 + horizon" in capsys.readouterr().err
 
 
+def test_experiment_repeated_method_is_error(capsys):
+    assert main(["experiment", "--scenario", "helical", "--n-steps", "100", "--k0", "20",
+                 "--horizon", "10", "--methods", "aise-va,AISE/va"]) == 2
+    assert "AISE/va is repeated" in capsys.readouterr().err
+
+
 def test_goldens_regeneration_matches_checked_in(tmp_path):
     out = tmp_path / "goldens.json"
     assert main(["goldens", "--out", str(out)]) == 0

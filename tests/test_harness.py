@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from aisepred import harness
 from aisepred.aise import AiseConfig, AiseFilter, benchmark_config
 from aisepred.harness import (
     ExperimentConfig,
@@ -15,7 +16,7 @@ from aisepred.harness import (
     rmse,
     run_experiment,
 )
-from aisepred.prediction import PredictionTrace
+from aisepred.prediction import PredictionTrace, predict
 from aisepred.scenarios import add_noise, truth_arrays, write_truth_csv
 
 
@@ -189,6 +190,13 @@ PINNED_ARTIFACTS = {
         "f23e466f888b3e174c66e0d2659e9371a80f82e43f698a5d1dc9fdd4f1604a27",
         "8cf0ecc1b5c3a65590cc6876715898fd6ab95d3c57d8a9df32d0db701b9d8ea1",
     ),
+    # Recorded while every /va method still formatted its own prediction set.
+    "truth": (
+        dict(scenario="helical", n_steps=600, k0=300, horizon=50, seed=11,
+             truth_derivatives=True),
+        "c34205c306b1a0939fb917dddfe203d81dc4214c0f531d31b08c659825690e79",
+        "f922e5a62119729f5eaea725b7df5ec1f9dc39411e2619414191afd5ce139f98",
+    ),
 }
 
 
@@ -271,6 +279,8 @@ PINNED_JSON_ARTIFACTS = {
               "ffbcba6fff5952e8bfda9687a2984482a39b43bf3d084fe943a2d97fd03cd06e"),
     "parabolic": ("e7c3c05f77a57666e24fb9450841cc08dd5ef97b7eae39a7b62eb5a14dab0a41",
                   "2cc376e6f0f1810ea2753da73cefcf05120a94ae5c2b86685acfcce259b88082"),
+    "truth": ("fff78320a15fbc22f94fd23110d57b1ab76f6e7c4c6909f420dd2838e3e0982f",
+              "a3620086929ce40ae1d56f921aa0a3f876b0f1f646759e8a7be14aba4875894e"),
 }
 
 
@@ -345,3 +355,39 @@ def test_aise_va_run_runs_order_three_for_its_trace_only(tmp_path):
     plain = run_experiment(cfg)
     assert list(plain.methods) == list(traced.methods) == ["AISE/va"]
     np.testing.assert_array_equal(plain.methods["AISE/va"], traced.methods["AISE/va"])
+
+
+def test_repeated_method_rejected():
+    # aise-va and AISE/va name one method: a run would score it once and write it twice.
+    with pytest.raises(ValueError, match="AISE/va is repeated"):
+        ExperimentConfig(methods=("aise-va", "bdb-va", "AISE/va"))
+
+
+@pytest.mark.parametrize("truth, calls_per_anchor", [(True, 2), (False, 4)],
+                         ids=["truth", "estimated"])
+def test_methods_reading_one_record_share_one_prediction_set(monkeypatch, truth,
+                                                             calls_per_anchor):
+    # With exact derivatives the three /va methods read one record, so the first
+    # of them predicts for all three; estimated runs predict once per method.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "predict", counted)
+    rep = run_experiment(ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL))
+    assert len(calls) == calls_per_anchor * rep.n_tilde
+    va = [rep.methods[m] for m in ("BDB/va", "ABG/va", "AISE/va")]
+    if truth:
+        assert va[0].tobytes() == va[1].tobytes() == va[2].tobytes()
+    assert va[0] is not va[1] and va[1] is not va[2] and va[0] is not va[2]
+
+
+def test_copied_prediction_sets_keep_their_bytes_in_tiny_blocks(tmp_path, monkeypatch):
+    # Blocks of a few bytes split every line and every method name; the copy
+    # must still write the bytes pinned for the truth run.
+    monkeypatch.setattr(harness, "_COPY_BLOCK_BYTES", 5)
+    run_experiment(ExperimentConfig(**PINNED_ARTIFACTS["truth"][0]), out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACTS["truth"][1]
