@@ -406,13 +406,15 @@ class AiseFilter:
         result is (grid[0], 0.0). eta is always a grid value, so it can differ
         from eta_l in the last bit.
         """
-        if self.k < self.adapt_start:
-            s_hat = self.residual_variance()
-            return self.cfg.eta_init, (s_hat if s_hat is not None else 1.0)
-        if forecast_var is None:
+        if forecast_var is None and self.k >= self.adapt_start:
             forecast_var = self._forecast_var()
+        return self._noise_levels(self.residual_variance(), forecast_var)
+
+    def _noise_levels(self, s_hat, forecast_var):
+        """adapt_noise_covariances for the residual variance s_hat (None before two residuals)."""
+        if self.k < self.adapt_start:
+            return self.cfg.eta_init, (s_hat if s_hat is not None else 1.0)
         cfg, grid = self.cfg, self._eta_grid
-        s_hat = self._res_m2 / (self._res_count - 1)
         c = s_hat - forecast_var
         if not c > grid[0]:  # searchsorted would count a NaN c past the whole grid
             return float(grid[0]), 0.0
@@ -430,6 +432,13 @@ class AiseFilter:
     def _forecast_var(self):
         return float(np.dot(np.dot(self.model.A[0], self.P_da), self.model.A[0]))
 
+    def _innovation_var(self, v2):
+        """Variance of the residual, P_fc[0, 0] + v2; raises unless it is positive."""
+        innov_var = self.P_fc[0, 0] + v2
+        if innov_var <= 0.0:
+            raise NumericalInvariantError(self.k, "innovation variance not positive")
+        return innov_var
+
     def data_assimilate(self, z, eta, v2):
         """Measurement update and forecast-covariance propagation.
 
@@ -437,10 +446,7 @@ class AiseFilter:
         covariances and the closed-loop product stack.
         """
         A = self.model.A
-        innov_var = self.P_fc[0, 0] + v2
-        if innov_var <= 0.0:
-            raise NumericalInvariantError(self.k, "innovation variance not positive")
-        gain = self.P_fc[:, 0] / -innov_var
+        gain = self.P_fc[:, 0] / -self._innovation_var(v2)
         self.x_da = self.x_fc + gain * z
         P_da = self.P_fc + gain[:, None] * self.P_fc[0]
         self.P_da = 0.5 * (P_da + P_da.T)
@@ -460,15 +466,18 @@ class AiseFilter:
     # ------------------------------------------------------------------
 
     def step(self, y):
-        """Process one measurement; returns the derivative estimate for this step."""
+        """Process one measurement; returns the derivative estimate for this step.
+
+        A step that raises (InvalidSample, NumericalInvariantError) leaves the filter unchanged.
+        """
         cfg = self.cfg
         y = float(y)
         if not math.isfinite(y):
             raise InvalidSample(self.k, f"measurement {y!r} is not finite")
         z = float(self.x_fc[0]) - y
 
-        # phi and the variance-ratio window put z ahead of the stored history, which is
-        # committed only after the RLS update succeeds: a failed step changes nothing.
+        # phi and the variance-ratio window put z ahead of the stored history. Nothing is
+        # committed until every check has passed: a failed step changes nothing.
         phi = np.empty(cfg.l_theta)
         phi[: cfg.n_e] = self.dhat_hist[: cfg.n_e]
         phi[cfg.n_e] = z
@@ -482,18 +491,21 @@ class AiseFilter:
             recent = self.z_hist[cfg.tau_d - 2 :: -1].tolist() + [z]
             lam = vrf_lambda(recent, cfg.tau_n, cfg.tau_d, cfg.alpha_vrf, self._f_crit)
 
-        self.rls_update(lam, phi, phi_f, z, dhat_f)
-
-        # Running residual statistics over every step so far.
-        self._res_count += 1
+        # Running residual statistics over every step so far, and the noise levels they
+        # give; neither reads what the RLS update changes.
+        res_count = self._res_count + 1
         delta = z - self._res_mean
-        self._res_mean += delta / self._res_count
-        self._res_m2 += delta * (z - self._res_mean)
+        res_mean = self._res_mean + delta / res_count
+        res_m2 = self._res_m2 + delta * (z - res_mean)
+        s_hat = res_m2 / (res_count - 1) if res_count >= 2 else None
+        forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
+        eta, v2 = self._noise_levels(s_hat, forecast_var)
+        self._innovation_var(v2)  # the one check data_assimilate makes
+
+        self.rls_update(lam, phi, phi_f, z, dhat_f)
+        self._res_count, self._res_mean, self._res_m2 = res_count, res_mean, res_m2
         self.z_hist[1:] = self.z_hist[:-1]
         self.z_hist[0] = z
-
-        forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
-        eta, v2 = self.adapt_noise_covariances(forecast_var)
         self.eta_k, self.v2_k = eta, v2
 
         self.data_assimilate(z, eta, v2)
@@ -507,7 +519,7 @@ class AiseFilter:
         self.lambda_k = lam
         self.last = StepDiagnostics(
             k=self.k, z=z, d_hat=d_hat, phi=phi, phi_f=phi_f, dhat_f=dhat_f,
-            lam=lam, eta=eta, v2=v2, s_hat=self.residual_variance(), forecast_var=forecast_var,
+            lam=lam, eta=eta, v2=v2, s_hat=s_hat, forecast_var=forecast_var,
         )
         self.k += 1
         return d_hat

@@ -5,10 +5,14 @@ first/second backward differences. The alpha-beta-gamma tracker is a
 steady-state Kalman filter for the constant-acceleration model whose three
 gains are parameterized by a single dimensionless tracking index (the
 process-to-measurement noise ratio).
+
+scipy.signal is imported when the first ButterworthCascade is built, not with
+this module: it loads scipy.stats and most of scipy with it, more than doubling
+the time and memory of `import aisepred`, and no AISE filter, truth-derivative
+run or `aisepred differentiate` needs it.
 """
 
 import numpy as np
-from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from .integrators import build_integrator
 
@@ -34,10 +38,13 @@ class ButterworthCascade:
             raise ValueError(f"order must be a positive even integer, got {order}")
         if not 0.0 < cutoff < np.pi:
             raise ValueError(f"cutoff must be in (0, pi) rad/step, got {cutoff}")
+        from scipy.signal import butter, sosfilt, sosfilt_zi
+
         self.order = order
         self.cutoff = float(cutoff)
         self.sections = butter(order, cutoff / np.pi, btype="low", output="sos")
         self._zi_unit = sosfilt_zi(self.sections)
+        self._sosfilt = sosfilt
         self._zi = None
 
     def reset(self):
@@ -54,7 +61,7 @@ class ButterworthCascade:
             return np.empty(0)
         if self._zi is None:
             self._zi = self._zi_unit * xs[0]
-        ys, self._zi = sosfilt(self.sections, xs, zi=self._zi)
+        ys, self._zi = self._sosfilt(self.sections, xs, zi=self._zi)
         return ys
 
     def frequency_response(self, w):

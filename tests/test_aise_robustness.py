@@ -117,6 +117,26 @@ def test_failed_rls_update_leaves_step_state_unchanged(order):
     assert f.to_json() == twin.to_json()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_failed_assimilation_leaves_step_state_unchanged(order):
+    # The innovation-variance check fails after the RLS update would have run: the
+    # step still commits nothing, not theta, p_inv, the histories or V2.
+    f = AiseFilter(benchmark_config(order))
+    twin = AiseFilter(benchmark_config(order))
+    for y in bursty_stream(4)[:80]:
+        f.step(y)
+        twin.step(y)
+    good = f.P_fc
+    f.P_fc = -1e3 * np.eye(order)  # P_fc[0, 0] + V2 < 0 for any V2 the step can choose
+    snapshot = f.to_json()
+    with pytest.raises(NumericalInvariantError, match="innovation variance"):
+        f.step(0.5)
+    assert f.to_json() == snapshot
+    f.P_fc = good
+    assert f.step(0.5) == twin.step(0.5)
+    assert f.to_json() == twin.to_json()
+
+
 def vrf_lambda_reference(z, tau_n, tau_d, alpha_vrf, f_crit):
     """The variance-ratio test written with np.var(ddof=1)."""
     z = np.asarray(z, dtype=float)

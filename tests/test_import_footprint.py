@@ -1,0 +1,54 @@
+"""What `import aisepred` loads: scipy.signal (and scipy.stats with it) only once a BDB baseline is built."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import aisepred
+from aisepred.baselines import BdbDifferentiator
+
+# Run in a fresh interpreter: argv[1] is the directory holding the package, argv[2] a
+# scratch directory. Prints one JSON object.
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import aisepred
+from aisepred import cli
+
+out = sys.argv[2]
+t = np.arange(200) * 0.01
+ys = 5.0 * np.cos(t) + 0.01 * np.sin(37.0 * t)
+filters = [aisepred.AiseFilter(aisepred.benchmark_config(order)) for order in (1, 2, 3) for _ in range(3)]
+for f in filters:
+    f.step(ys[0])
+est = aisepred.DerivativeEstimate(v=np.array([0.0, 5.0, 1.0]), a=np.array([-5.0, 0.0, 0.0]),
+                                  j=np.array([0.0, -5.0, 0.0]))
+for method in ("AISE/FS", "AISE/va"):
+    aisepred.predict(method, np.array([5.0, 0.0, 0.0]), est, 20, 0.01)
+aisepred.run_experiment(aisepred.ExperimentConfig(n_steps=300, k0=100, horizon=50,
+                                                  truth_derivatives=True), out_dir=out + "/run")
+with open(out + "/in.csv", "w") as fh:
+    fh.write("t,x\\n" + "".join(f"{a!r},{b!r}\\n" for a, b in zip(t.tolist(), ys.tolist())))
+status = cli.main(["differentiate", out + "/in.csv", "--out", out + "/d.csv"])
+before = sorted(name for name in ("scipy.signal", "scipy.stats") if name in sys.modules)
+run = aisepred.BdbDifferentiator(0.01).run(ys)
+print(json.dumps({"status": status, "before_bdb": before, "after_bdb": "scipy.signal" in sys.modules,
+                  "run": [column.tolist() for column in run]}))
+"""
+
+
+def test_only_a_bdb_baseline_loads_scipy_signal(tmp_path):
+    src = str(Path(aisepred.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", CHILD, src, str(tmp_path)],
+                           capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["status"] == 0
+    assert result["before_bdb"] == []
+    assert result["after_bdb"]
+    t = np.arange(200) * 0.01
+    ys = 5.0 * np.cos(t) + 0.01 * np.sin(37.0 * t)
+    assert result["run"] == [column.tolist() for column in BdbDifferentiator(0.01).run(ys)]
