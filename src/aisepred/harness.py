@@ -6,9 +6,11 @@ measurement stream, one channel at a time, and returns one record of
 position, velocity, acceleration (and AISE jerk) per family; with
 truth_derivatives the exact derivatives stand in as the AISE record.
 Prediction then anchors a trace at every step in [k0, n_steps - horizon],
-reading the record of the method's family, and rmse() scores the horizon
-endpoints against noiseless truth. Runs are deterministic for a fixed
-config and seed: repeated runs produce byte-identical artifacts.
+reading the record of the method's family. Each trace's horizon endpoint is
+scored against noiseless truth as the trace is made, with the reduction
+rmse() applies; a trace outlives its anchor only when artifacts are written.
+Runs are deterministic for a fixed config and seed: repeated runs produce
+byte-identical artifacts.
 """
 
 import hashlib
@@ -97,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"method {max(self.methods, key=self.methods.count)} is repeated")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not 0 < self.t_s < float("inf"):
+            raise ValueError(f"t_s must be finite and positive, got {self.t_s!r}")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
         if self.k0 + self.horizon >= self.n_steps:
@@ -138,19 +142,36 @@ def rmse(truth_positions, traces, horizon, k0, form="standard"):
     """Per-axis RMSE of horizon-endpoint predictions against noiseless truth.
 
     truth_positions has one row per step 0..N; traces is the collection of
-    prediction traces for one method, holding every anchor in [k0, N - horizon].
-    The standard form is sqrt(mean(e^2)); the literal form divides the root of
-    the summed squares by the anchor count instead.
+    prediction traces for one method, holding every anchor in [k0, N - horizon]
+    exactly once, each at least `horizon` positions long (ValueError naming the
+    anchor step otherwise). The endpoint errors go through _rms_of_errors, the
+    reduction run_experiment applies to the errors it collects as it predicts.
     """
     truth_positions = np.asarray(truth_positions, dtype=float)
     n_last = len(truth_positions) - 1
-    by_anchor = {tr.anchor_step: tr for tr in traces}
+    by_anchor = {}
+    for tr in traces:
+        if tr.anchor_step in by_anchor:
+            raise ValueError(f"repeated prediction trace for anchor step {tr.anchor_step}")
+        by_anchor[tr.anchor_step] = tr
     errors = np.empty((n_last - horizon - k0 + 1, 3))
     for i, k in enumerate(range(k0, n_last - horizon + 1)):
         trace = by_anchor.get(k)
         if trace is None:
             raise ValueError(f"missing prediction trace for anchor step {k}")
+        if len(trace.positions) < horizon:
+            raise ValueError(f"prediction trace for anchor step {k} has "
+                             f"{len(trace.positions)} positions, fewer than horizon {horizon}")
         errors[i] = truth_positions[k + horizon] - trace.positions[horizon - 1]
+    return _rms_of_errors(errors, form)
+
+
+def _rms_of_errors(errors, form):
+    """Per-axis RMSE of an (anchors, 3) error array, in the given form.
+
+    The standard form is sqrt(mean(e^2)); the literal form divides the root of
+    the summed squares by the anchor count instead.
+    """
     n_tilde = len(errors)
     root = np.sqrt((errors**2).sum(axis=0))
     if form == "standard":
@@ -234,8 +255,10 @@ def run_experiment(config, out_dir=None):
                        jerk="AISE/FS" in config.methods or out_dir is not None)
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
+    h = config.horizon
     # Methods reading one record through one predictor (with truth_derivatives, all
-    # /va methods) share one prediction set; the first predicts and scores it.
+    # /va methods) share one prediction set; the first predicts and scores it. Each
+    # endpoint error is taken as its trace is made; only the writer keeps the traces.
     traces, report_methods, first_of = {}, {}, {}
     for method in config.methods:
         family = "aise" if config.truth_derivatives else method_family(method)
@@ -246,14 +269,16 @@ def run_experiment(config, out_dir=None):
         record = est[family]
         v, a, j = record["v"], record["a"], record.get("j")
         anchors = record["p"] if config.anchor_on_estimate else measurements
-        traces[method] = [
-            predict(method, anchors[k],
-                    DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
-                    config.horizon, t_s, anchor_step=k)
-            for k in range(first_anchor, last_anchor + 1)
-        ]
-        report_methods[method] = rmse(P[: n_steps + 1], traces[method], config.horizon,
-                                      config.k0, config.rmse_form)
+        errors = np.empty((last_anchor - first_anchor + 1, 3))
+        kept = traces[method] = [] if out_dir is not None else None
+        for i, k in enumerate(range(first_anchor, last_anchor + 1)):
+            trace = predict(method, anchors[k],
+                            DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
+                            h, t_s, anchor_step=k)
+            errors[i] = P[k + h] - trace.positions[h - 1]
+            if kept is not None:
+                kept.append(trace)
+        report_methods[method] = _rms_of_errors(errors, config.rmse_form)
 
     resolved = config_to_dict(config)
     resolved["sigma"] = sigma

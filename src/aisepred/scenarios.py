@@ -118,7 +118,7 @@ def add_noise(p, sigma, seed):
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-# Relative tolerance on sample-spacing uniformity, in seconds.
+# Absolute tolerance on sample-spacing uniformity, in seconds.
 _SPACING_TOL = 1e-9
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_rmse_missing_anchor_reported():
         rmse(truth, traces, 10, 20)
 
 
+def test_rmse_short_trace_reported():
+    truth = np.zeros((100, 3))
+    traces = make_traces(truth, 10, 20)
+    traces[5] = PredictionTrace(anchor_step=25, horizon=4, method="AISE/va",
+                                positions=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="anchor step 25 has 4 positions"):
+        rmse(truth, traces, 10, 20)
+
+
+def test_rmse_repeated_anchor_reported():
+    # A second trace for one anchor would otherwise silently replace the first.
+    truth = np.zeros((100, 3))
+    traces = make_traces(truth, 10, 20)
+    traces.append(make_traces(truth, 10, 20, offset=1.0)[5])
+    with pytest.raises(ValueError, match="repeated prediction trace for anchor step 25"):
+        rmse(truth, traces, 10, 20)
+
+
 def test_normalize_method():
     assert normalize_method("aise-fs") == "AISE/FS"
     assert normalize_method("AISE/va") == "AISE/va"
@@ -78,6 +97,17 @@ def test_config_validation():
         ExperimentConfig(scenario="spiral")
     with pytest.raises(ValueError, match="analytic scenario"):
         ExperimentConfig(scenario="csv:/tmp/x.csv", truth_derivatives=True)
+
+
+@pytest.mark.parametrize("t_s", [0.0, -0.01, float("nan"), float("inf")])
+def test_config_rejects_a_bad_sample_time_at_construction(t_s):
+    # Caught here, not after a whole run has been predicted.
+    with pytest.raises(ValueError, match="t_s must be finite and positive"):
+        ExperimentConfig(t_s=t_s, truth_derivatives=True)
+    data = config_to_dict(ExperimentConfig())
+    data["t_s"] = t_s
+    with pytest.raises(ValueError, match="t_s must be finite and positive"):
+        config_from_dict(data)
 
 
 def test_config_dict_roundtrip():
@@ -391,3 +421,62 @@ def test_copied_prediction_sets_keep_their_bytes_in_tiny_blocks(tmp_path, monkey
     run_experiment(ExperimentConfig(**PINNED_ARTIFACTS["truth"][0]), out_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
     assert digest == PINNED_ARTIFACTS["truth"][1]
+
+
+def _recording_predict(monkeypatch, alive_at_call=None, kept=None):
+    """Route harness.predict through a wrapper that records what each call leaves alive."""
+    refs = []
+
+    def recorded(*args, **kwargs):
+        trace = predict(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        if alive_at_call is not None:
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+        if kept is not None:
+            kept.append(trace)
+        return trace
+
+    monkeypatch.setattr(harness, "predict", recorded)
+
+
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
+def test_no_trace_outlives_its_anchor_without_out_dir(monkeypatch, tmp_path, truth):
+    # Without artifacts only the endpoint errors are kept: at any call, at most the
+    # previous trace and the new one are alive. The writer keeps every trace.
+    cfg = ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL)
+    alive = []
+    _recording_predict(monkeypatch, alive_at_call=alive)
+    rep = run_experiment(cfg)
+    assert len(alive) == (2 if truth else 4) * rep.n_tilde
+    assert max(alive) <= 2
+    alive.clear()
+    run_experiment(cfg, out_dir=tmp_path)
+    assert alive[-1] == len(alive)
+
+
+@pytest.mark.parametrize("form", ["standard", "literal"])
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
+def test_scores_as_predicted_match_rmse_of_the_traces(monkeypatch, truth, form):
+    cfg = ExperimentConfig(scenario="helical", truth_derivatives=truth, rmse_form=form, **SMALL)
+    kept = []
+    _recording_predict(monkeypatch, kept=kept)
+    rep = run_experiment(cfg)
+    truth_p = truth_arrays(cfg.scenario, cfg.n_steps, cfg.t_s)[0]
+    by_method = {}
+    for trace in kept:
+        by_method.setdefault(trace.method, []).append(trace)
+    # Under truth_derivatives the /va methods share the first one's traces.
+    assert set(by_method) == ({"BDB/va", "AISE/FS"} if truth else set(cfg.methods))
+    for method, values in rep.methods.items():
+        traces = by_method.get(method, by_method["BDB/va"])
+        expected = rmse(truth_p, traces, cfg.horizon, cfg.k0, form)
+        assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
+def test_runs_with_and_without_out_dir_report_the_same_bytes(tmp_path, truth):
+    cfg = ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL)
+    plain, written = run_experiment(cfg), run_experiment(cfg, out_dir=tmp_path)
+    assert list(plain.methods) == list(written.methods)
+    for method, values in plain.methods.items():
+        assert values.tobytes() == written.methods[method].tobytes()
