@@ -12,6 +12,9 @@ sensor noise level is required.
 Each AiseFilter is single-writer. Instances are independent, so one filter
 per signal channel can run on its own thread; a filter can be checkpointed to
 JSON and restored with bit-identical continuation.
+
+scipy.special is imported by f_critical, so with the first filter, not with
+this module: a truth-derivative run builds no filter and never needs it.
 """
 
 import json
@@ -21,7 +24,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import dgemm
-from scipy.special import betaincinv
 
 from .integrators import build_integrator
 
@@ -187,6 +189,8 @@ class StepDiagnostics:
 
 def f_critical(dfn, dfd, quantile=0.99):
     """Upper quantile of the F distribution via the regularized incomplete beta inverse."""
+    from scipy.special import betaincinv
+
     w = betaincinv(0.5 * dfn, 0.5 * dfd, quantile)
     return dfd * w / (dfn * (1.0 - w))
 

@@ -8,15 +8,16 @@ truth_derivatives the exact derivatives stand in as the AISE record.
 Prediction then anchors a trace at every step in [k0, n_steps - horizon],
 reading the record of the method's family. Each trace's horizon endpoint is
 scored against noiseless truth as the trace is made, with the reduction
-rmse() applies; a trace outlives its anchor only when artifacts are written.
-Runs are deterministic for a fixed config and seed: repeated runs produce
-byte-identical artifacts.
+rmse() applies. With artifacts, the traces go to predictions.csv a block at a
+time as they are made, so no trace outlives its block. Runs are deterministic
+for a fixed config and seed: repeated runs produce byte-identical artifacts.
 """
 
 import hashlib
 import json
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
 _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
 # Rows of trace.csv formatted per write: larger blocks raise peak RSS.
 _TRACE_BLOCK_ROWS = 100
+# Traces formatted per write of predictions.csv: one costs time, a whole set memory.
+_PREDICTION_BLOCK_TRACES = 64
 # Bytes of predictions.csv read back per block when a prediction set is copied.
 _COPY_BLOCK_BYTES = 1 << 18
 
@@ -130,7 +133,10 @@ class ExperimentConfig:
 
 @dataclass
 class RmseReport:
-    """Per-method horizon-endpoint RMSE (x, y, z), in meters."""
+    """Per-method horizon-endpoint RMSE (x, y, z), in meters.
+
+    runtime_s is the run's wall time in seconds, less every artifact write.
+    """
 
     methods: dict
     n_tilde: int
@@ -256,41 +262,48 @@ def run_experiment(config, out_dir=None):
 
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
     h = config.horizon
-    # Methods reading one record through one predictor (with truth_derivatives, all
-    # /va methods) share one prediction set; the first predicts and scores it. Each
-    # endpoint error is taken as its trace is made; only the writer keeps the traces.
-    traces, report_methods, first_of = {}, {}, {}
-    for method in config.methods:
-        family = "aise" if config.truth_derivatives else method_family(method)
-        first = first_of.setdefault((family, method == "AISE/FS"), method)
-        if first != method:
-            traces[method], report_methods[method] = traces[first], report_methods[first].copy()
-            continue
-        record = est[family]
-        v, a, j = record["v"], record["a"], record.get("j")
-        anchors = record["p"] if config.anchor_on_estimate else measurements
-        errors = np.empty((last_anchor - first_anchor + 1, 3))
-        kept = traces[method] = [] if out_dir is not None else None
-        for i, k in enumerate(range(first_anchor, last_anchor + 1)):
-            trace = predict(method, anchors[k],
-                            DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
-                            h, t_s, anchor_step=k)
-            errors[i] = P[k + h] - trace.positions[h - 1]
-            if kept is not None:
-                kept.append(trace)
-        report_methods[method] = _rms_of_errors(errors, config.rmse_form)
-
-    resolved = config_to_dict(config)
-    resolved["sigma"] = sigma
-    report = RmseReport(
-        methods=report_methods,
-        n_tilde=last_anchor - first_anchor + 1,
-        runtime_s=time.perf_counter() - start,
-        config=resolved,
-    )
+    # Methods reading one record through one predictor (with truth_derivatives, all /va
+    # methods) share one prediction set; the first predicts, scores and writes it. Each
+    # endpoint error is taken as its trace is made, and no trace outlives its block.
+    report_methods, first_of, sections, write_s = {}, {}, {}, 0.0
+    with ExitStack() as files:
+        if out_dir is not None:  # opened only once the estimators have run
+            tick = time.perf_counter()
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "predictions.csv")
+            fh, src = files.enter_context(open(path, "wb")), files.enter_context(open(path, "rb"))
+            fh.write(b"anchor,method,l,x,y,z\n")
+            write_s = time.perf_counter() - tick
+        for method in config.methods:
+            family = "aise" if config.truth_derivatives else method_family(method)
+            first = first_of.setdefault((family, method == "AISE/FS"), method)
+            if first != method:
+                report_methods[method] = report_methods[first].copy()
+                if out_dir is not None:
+                    write_s += _copy_section(fh, src, first, *sections[first], method)
+                continue
+            record = est[family]
+            v, a, j = record["v"], record["a"], record.get("j")
+            anchors = record["p"] if config.anchor_on_estimate else measurements
+            errors, block = np.empty((last_anchor - first_anchor + 1, 3)), []
+            begin = fh.tell() if out_dir is not None else None
+            for i, k in enumerate(range(first_anchor, last_anchor + 1)):
+                trace = predict(method, anchors[k],
+                                DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
+                                h, t_s, anchor_step=k)
+                errors[i] = P[k + h] - trace.positions[h - 1]
+                if out_dir is not None:
+                    block.append(trace)
+                    if len(block) == _PREDICTION_BLOCK_TRACES or k == last_anchor:
+                        write_s += _write_traces(fh, method, block)
+            sections[method] = begin, fh.tell() if out_dir is not None else None
+            report_methods[method] = _rms_of_errors(errors, config.rmse_form)
+        report = RmseReport(report_methods, last_anchor - first_anchor + 1,
+                            time.perf_counter() - start - write_s,
+                            config_to_dict(config) | {"sigma": sigma})
 
     if out_dir is not None:
-        _write_artifacts(out_dir, config, report, n_steps, P, measurements, est, traces)
+        _write_artifacts(out_dir, config, report, n_steps, P, measurements, est)
     return report
 
 
@@ -344,8 +357,7 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 
-def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est, traces):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est):
     resolved = report.config
 
     payload = {
@@ -406,25 +418,27 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est,
             cols = [range(lo, hi)] + [c for part in table for c in part[lo:hi].T.tolist()]
             fh.write(format_csv_lines(cols))
 
-    # A set already written is read back in line-aligned blocks and renamed, not re-formatted.
-    path = os.path.join(out_dir, "predictions.csv")
-    with open(path, "wb") as fh, open(path, "rb") as src:
-        fh.write(b"anchor,method,l,x,y,z\n")
-        sections = {}  # id of a trace list -> (method, start, end) of its section
-        for method in config.methods:
-            if id(traces[method]) not in sections:
-                start = fh.tell()
-                for tr in traces[method]:
-                    fh.write(format_csv_lines([range(1, tr.horizon + 1), *tr.positions.T.tolist()],
-                                              prefix=f"{tr.anchor_step},{method},").encode())
-                sections[id(traces[method])] = method, start, fh.tell()
-                continue
-            first, start, end = sections[id(traces[method])]
-            old, new, carry = f",{first},".encode(), f",{method},".encode(), b""
-            fh.flush()
-            src.seek(start)
-            for pos in range(start, end, _COPY_BLOCK_BYTES):
-                block = carry + src.read(min(_COPY_BLOCK_BYTES, end - pos))
-                cut = block.rfind(b"\n") + 1
-                fh.write(block[:cut].replace(old, new))
-                carry = block[cut:]
+
+def _write_traces(fh, method, block):
+    """Append a block of traces to predictions.csv and empty it; returns the seconds taken."""
+    tick = time.perf_counter()
+    fh.write("".join([format_csv_lines([range(1, tr.horizon + 1), *tr.positions.T.tolist()],
+                                       prefix=f"{tr.anchor_step},{method},")
+                      for tr in block]).encode())
+    block.clear()
+    return time.perf_counter() - tick
+
+
+def _copy_section(fh, src, first, start, end, method):
+    """Append first's predictions.csv lines [start, end), read back in line-aligned blocks
+    and renamed to method rather than re-formatted; returns the seconds taken."""
+    tick = time.perf_counter()
+    old, new, carry = f",{first},".encode(), f",{method},".encode(), b""
+    fh.flush()
+    src.seek(start)
+    for pos in range(start, end, _COPY_BLOCK_BYTES):
+        block = carry + src.read(min(_COPY_BLOCK_BYTES, end - pos))
+        cut = block.rfind(b"\n") + 1
+        fh.write(block[:cut].replace(old, new))
+        carry = block[cut:]
+    return time.perf_counter() - tick

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import weakref
 from dataclasses import fields, replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from aisepred import harness
-from aisepred.aise import AiseConfig, AiseFilter, benchmark_config
+from aisepred.aise import AiseConfig, AiseFilter, InvalidSample, benchmark_config
 from aisepred.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -18,7 +19,7 @@ from aisepred.harness import (
     run_experiment,
 )
 from aisepred.prediction import PredictionTrace, predict
-from aisepred.scenarios import add_noise, truth_arrays, write_truth_csv
+from aisepred.scenarios import add_noise, format_csv_lines, truth_arrays, write_truth_csv
 
 
 def make_traces(truth, horizon, k0, offset=0.0, method="AISE/va"):
@@ -423,6 +424,50 @@ def test_copied_prediction_sets_keep_their_bytes_in_tiny_blocks(tmp_path, monkey
     assert digest == PINNED_ARTIFACTS["truth"][1]
 
 
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+@pytest.mark.parametrize("name", ["helix", "truth"])
+def test_prediction_blocks_of_any_size_write_the_pinned_bytes(tmp_path, monkeypatch, name, block):
+    # One trace per block, a block that splits no set evenly, and one block per set.
+    monkeypatch.setattr(harness, "_PREDICTION_BLOCK_TRACES", block)
+    run_experiment(ExperimentConfig(**PINNED_ARTIFACTS[name][0]), out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACTS[name][1]
+
+
+def test_runtime_leaves_out_the_predictions_written_during_prediction(tmp_path, monkeypatch):
+    # The first format_csv_lines call formats the first block of predictions.csv.
+    calls = []
+
+    def slow_first(*args, **kwargs):
+        if not calls:
+            time.sleep(0.2)
+        calls.append(None)
+        return format_csv_lines(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "format_csv_lines", slow_first)
+    start = time.perf_counter()
+    rep = run_experiment(ExperimentConfig(scenario="helical", truth_derivatives=True, **SMALL),
+                         out_dir=tmp_path)
+    assert time.perf_counter() - start - rep.runtime_s >= 0.2
+
+
+def test_an_estimator_failure_leaves_no_artifact(tmp_path):
+    t_s = 0.01
+    P = truth_arrays("helical", 320, t_s)[0]
+    P[200, 1] = np.nan
+    path = tmp_path / "input.csv"
+    with open(path, "w") as fh:
+        fh.write("t,x,y,z\n")
+        for k in range(321):
+            fh.write(",".join(repr(float(v)) for v in [k * t_s, *P[k]]) + "\n")
+    cfg = ExperimentConfig(scenario=f"csv:{path}", sigma=0.0, **SMALL)
+    with pytest.raises(InvalidSample):
+        run_experiment(cfg, out_dir=tmp_path / "out")
+    # predictions.csv is opened only once estimate() has returned.
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def _recording_predict(monkeypatch, alive_at_call=None, kept=None):
     """Route harness.predict through a wrapper that records what each call leaves alive."""
     refs = []
@@ -442,7 +487,8 @@ def _recording_predict(monkeypatch, alive_at_call=None, kept=None):
 @pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
 def test_no_trace_outlives_its_anchor_without_out_dir(monkeypatch, tmp_path, truth):
     # Without artifacts only the endpoint errors are kept: at any call, at most the
-    # previous trace and the new one are alive. The writer keeps every trace.
+    # previous trace and the new one are alive. With them, at most one block of
+    # predictions.csv and the new trace are.
     cfg = ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL)
     alive = []
     _recording_predict(monkeypatch, alive_at_call=alive)
@@ -451,7 +497,9 @@ def test_no_trace_outlives_its_anchor_without_out_dir(monkeypatch, tmp_path, tru
     assert max(alive) <= 2
     alive.clear()
     run_experiment(cfg, out_dir=tmp_path)
-    assert alive[-1] == len(alive)
+    assert len(alive) == (2 if truth else 4) * rep.n_tilde
+    assert rep.n_tilde > harness._PREDICTION_BLOCK_TRACES + 1
+    assert max(alive) <= harness._PREDICTION_BLOCK_TRACES + 1
 
 
 @pytest.mark.parametrize("form", ["standard", "literal"])

@@ -1,4 +1,5 @@
-"""What `import aisepred` loads: scipy.signal (and scipy.stats with it) only once a BDB baseline is built."""
+"""What `import aisepred` loads: scipy.signal (and scipy.stats with it) only once a BDB baseline
+is built, and scipy.special only once an AISE filter is."""
 
 import json
 import subprocess
@@ -52,3 +53,29 @@ def test_only_a_bdb_baseline_loads_scipy_signal(tmp_path):
     t = np.arange(200) * 0.01
     ys = 5.0 * np.cos(t) + 0.01 * np.sin(37.0 * t)
     assert result["run"] == [column.tolist() for column in BdbDifferentiator(0.01).run(ys)]
+
+
+# argv[1] is the directory holding the package, argv[2] a scratch directory.
+SPECIAL_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import aisepred
+
+aisepred.run_experiment(aisepred.ExperimentConfig(n_steps=300, k0=100, horizon=50,
+                                                  truth_derivatives=True), out_dir=sys.argv[2])
+before = "scipy.special" in sys.modules
+f_crit = aisepred.AiseFilter(aisepred.benchmark_config(1))._f_crit
+print(json.dumps({"before_filter": before, "after_filter": "scipy.special" in sys.modules,
+                  "f_crit": f_crit}))
+"""
+
+
+def test_only_an_aise_filter_loads_scipy_special(tmp_path):
+    src = str(Path(aisepred.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", SPECIAL_CHILD, src, str(tmp_path)],
+                           capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert not result["before_filter"]
+    assert result["after_filter"]
+    assert result["f_crit"] == aisepred.AiseFilter(aisepred.benchmark_config(1))._f_crit
+    assert (tmp_path / "predictions.csv").exists()
