@@ -22,8 +22,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
-from scipy.linalg.blas import dgemm
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dger, dtrsm
 
 from .integrators import build_integrator
 
@@ -51,8 +51,8 @@ class InvalidSample(NumericalInvariantError, ValueError):
     """A measurement was not a finite number; the filter state is unchanged."""
 
 
-# The LAPACK routines behind cho_factor/cho_solve, without their wrappers.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# LAPACK's Cholesky factor and triangular inverse, without scipy's wrappers.
+_POTRF, _TRTRI = get_lapack_funcs(("potrf", "trtri"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,13 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     return 1.0
 
 
-# Checkpointed filter state: (JSON key, AiseFilter attribute), in to_json order.
+# Checkpointed filter state: (JSON key, AiseFilter attribute), in to_json order after "version"
+# and "config". Version 1 had no "version" key and held p_inv and prodstack (matrix products).
+_CHECKPOINT_VERSION = 2
 _CHECKPOINT = (
-    ("k", "k"), ("theta", "theta"), ("p_inv", "p_inv"), ("x_fc", "x_fc"), ("x_da", "x_da"),
+    ("k", "k"), ("theta", "theta"), ("P_sqrt", "P_sqrt"), ("x_fc", "x_fc"), ("x_da", "x_da"),
     ("P_fc", "P_fc"), ("P_da", "P_da"), ("dhat_hist", "dhat_hist"), ("z_hist", "z_hist"),
-    ("phi_hist", "phi_hist"), ("prodstack", "prodstack"), ("res_count", "_res_count"),
+    ("phi_hist", "phi_hist"), ("loop_weights", "loop_weights"), ("res_count", "_res_count"),
     ("res_mean", "_res_mean"), ("res_m2", "_res_m2"), ("eta_k", "eta_k"), ("v2_k", "v2_k"),
     ("lambda_k", "lambda_k"),
 )
@@ -270,7 +272,6 @@ class AiseFilter:
         self._eta_grid = np.logspace(np.log10(config.eta_l), np.log10(config.eta_u),
                                      config.eta_grid_points)
         self._log_eta_grid = np.log(self._eta_grid)
-        self._r_inf_mat = config.r_inf * np.eye(config.l_theta)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -278,14 +279,13 @@ class AiseFilter:
     # ------------------------------------------------------------------
 
     def reset(self):
+        """Zero coefficients, state and windows, and the RLS covariance inv(r_theta I)."""
         cfg = self.cfg
         n, lt = self.model.n, cfg.l_theta
         self.k = 0
         self.theta = np.zeros(lt)
-        # RLS covariance kept in information form; P_rls is its inverse.
-        self.p_inv = cfg.r_theta * np.eye(lt)
-        # Scratch, not state: the next information matrix and the closed-loop matrix.
-        self._p_spare, self._abar = np.empty((lt, lt)), self.model.A.copy()
+        self.P_sqrt = np.eye(lt) / math.sqrt(cfg.r_theta)
+        self._abar = self.model.A.copy()  # scratch, not state: the closed-loop matrix
         self.x_fc = np.zeros(n)
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
@@ -294,10 +294,9 @@ class AiseFilter:
         self.dhat_hist = np.zeros(cfg.n_e + cfg.n_f)
         self.z_hist = np.zeros(max(cfg.n_e + cfg.n_f, cfg.tau_d))
         self.phi_hist = np.zeros((cfg.n_f, lt))                 # row i = phi at step k-1-i
-        # Row j holds the product of the last j+1 closed-loop matrices, newest
-        # leftmost; row j feeds the filter weight at lag j+2. Zero rows encode
-        # missing history.
-        self.prodstack = np.zeros((cfg.n_f - 1, n, n))
+        # Row j is (the last j+1 closed-loop matrices, newest leftmost) @ B; its first entry
+        # is the filter weight at lag j+2. Zero rows encode missing history.
+        self.loop_weights = np.zeros((cfg.n_f - 1, n))
         self._res_count = 0
         self._res_mean = 0.0
         self._res_m2 = 0.0
@@ -307,10 +306,33 @@ class AiseFilter:
         self.last = None
 
     @property
+    def P_sqrt(self):
+        """The stored RLS state S, a square root of the covariance: P_rls = S S^T."""
+        return self._p_sqrt
+
+    @P_sqrt.setter
+    def P_sqrt(self, value):  # stored as a C-ordered copy, which dger can update in place
+        self._p_sqrt, self._p_info = np.array(value, dtype=float, order="C"), None
+        self._s_spare = np.empty_like(self._p_sqrt)  # scratch, not state: the next P_sqrt
+
+    @property
     def P_rls(self):
-        """RLS coefficient covariance (inverse of the stored information matrix)."""
-        c, lower = cho_factor(self.p_inv, lower=True)
-        return cho_solve((c, lower), np.eye(self.cfg.l_theta))
+        """RLS coefficient covariance S S^T, symmetric and semi-definite by construction."""
+        return self._p_sqrt @ self._p_sqrt.T
+
+    @property
+    def p_inv(self):
+        """RLS information matrix, inv(P_rls). An assigned one is kept until the next RLS
+        update factors it into P_sqrt; if it is not positive definite, that update raises."""
+        if self._p_info is not None:
+            return self._p_info
+        s_inv = np.linalg.inv(self._p_sqrt)
+        return s_inv.T @ s_inv
+
+    @p_inv.setter
+    def p_inv(self, value):
+        self._p_info = np.array(value, dtype=float)
+        self._s_spare = np.empty_like(self._p_info, order="C")
 
     def residual_variance(self):
         """Sample variance of all residuals seen so far (None before step 1)."""
@@ -326,7 +348,7 @@ class AiseFilter:
         """Impulse-response weights of the residual-to-input closed loop, lags 1..n_f."""
         H = np.empty(self.cfg.n_f)
         H[0] = self.model.B[0] if self.k >= 1 else 0.0
-        H[1:] = self.prodstack[:, 0, :] @ self.model.B
+        H[1:] = self.loop_weights[:, 0]
         return H
 
     def filter_regressor(self):
@@ -335,51 +357,54 @@ class AiseFilter:
         return np.dot(H, self.phi_hist), float(np.dot(H, self.dhat_hist[: self.cfg.n_f]))
 
     def _factor_information(self, p_inv):
-        """Lower Cholesky factor of the information matrix, with one lifted retry.
-
-        Exact arithmetic keeps the matrix positive definite (it is a sum of a
-        scaled positive-definite matrix and outer products), and every term is
-        symmetric elementwise, so factoring its transpose (no transposing copy) loses nothing.
-        A failed factorization at machine-precision scale is retried once with
-        an epsilon-sized diagonal lift. A failure beyond that scale is a genuine
-        invariant violation and raises.
-        """
-        c, info = _POTRF(p_inv.T, lower=1, clean=0)
-        if info == 0:
-            return c, p_inv
+        """S = L^-T, so S S^T = inv(p_inv), for the Cholesky factor L of p_inv's transpose (no
+        copy; only the lower triangle is read). A failure at machine-precision scale is retried
+        once with an epsilon-sized diagonal lift; a failure beyond that raises."""
+        c, info = _POTRF(p_inv.T, lower=1)
         lift = 1e-12 * float(np.max(np.diag(p_inv)))
-        if lift > 0:
-            p_inv = p_inv + lift * np.eye(len(p_inv))
-            c, info = _POTRF(p_inv.T, lower=1, clean=0)
+        if info != 0 and lift > 0:
+            c, info = _POTRF((p_inv + lift * np.eye(len(p_inv))).T, lower=1)
         if info != 0:
-            raise NumericalInvariantError(self.k, "RLS information matrix lost positive definiteness")
-        return c, p_inv
+            raise NumericalInvariantError(self.k, "RLS information matrix is not positive definite")
+        return np.array(_TRTRI(c, lower=1)[0].T, order="C")  # L's diagonal is positive
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
-        """Forgetting/resetting RLS step on the information matrix and coefficients.
+        """Forgetting/resetting RLS step on S, S S^T = inv(p_inv), and the coefficients.
 
-        The new matrix is built in a reused buffer and swapped in once it
-        factors, so a failure changes nothing; callers that keep p_inv must copy it.
+        It is the information-form step p_inv <- lam p_inv + (1 - lam) r_inf I + r_z phi_f
+        phi_f^T + r_d phi phi^T, theta <- theta - solve(p_inv, rhs), factoring nothing when
+        lam == 1; unlike a stored P, S keeps the covariance definite far from unit scale.
+        A lam < 1 step forgets with one Cholesky factor, R R^T = lam I + (1 - lam) r_inf S^T S,
+        as S <- S R^-T. Each term w (o + v^T theta)^2 is then a gain step and Potter's update:
+        with f = S^T v, g = S f and den = 1/w + f^T f, which must be finite, theta <- theta - g
+        (o + v^T theta) / den and S <- S - g f^T / (den + sqrt(den / w)). The new S is built in
+        a reused buffer and swapped in once every check passes, so a failure changes nothing;
+        callers that keep P_sqrt must copy it.
         """
         cfg = self.cfg
-        p_old, p_new = self.p_inv, self._p_spare
-        # The spare is the last p_inv: one assigned from outside may not suit dgemm's c=p_new.T.
-        if not (p_new.flags.writeable and p_new.flags.c_contiguous and p_new.shape == p_old.shape):
-            p_new = np.empty(p_old.shape)
-        np.multiply(p_old, lam, out=p_new)  # exact copy when lam == 1
+        s_old = self._p_sqrt if self._p_info is None else self._factor_information(self._p_info)
+        s_new = self._s_spare
+        np.copyto(s_new, s_old)
         if lam != 1.0:
-            p_new += (1.0 - lam) * self._r_inf_mat
-        for weight, v in ((cfg.r_z, phi_f), (cfg.r_d, phi)):
-            # p_new + (v v^T) * weight in place: numpy's bits, but -0.0 plus a zero term is +0.0.
-            dgemm(weight, v[:, None], v[None, :], beta=1.0, c=p_new.T, overwrite_c=1)
-        rhs = cfg.r_z * (z - dhat_f + float(np.dot(phi_f, self.theta))) * phi_f
-        rhs += cfg.r_d * float(np.dot(phi, self.theta)) * phi
-        if not (np.isfinite(p_new).all() and np.isfinite(rhs).all()):
+            gram = (1.0 - lam) * cfg.r_inf * np.dot(s_old.T, s_old)
+            gram.ravel()[:: len(gram) + 1] += lam
+            factor, info = _POTRF(gram.T, lower=1, clean=0, overwrite_a=1)  # gram is symmetric
+            if info != 0:
+                raise NumericalInvariantError(self.k, "RLS forgetting is not positive definite")
+            dtrsm(1.0, factor, s_new.T, side=0, lower=1, overwrite_b=1)  # S^T <- R^-1 S^T
+        theta = self.theta
+        for weight, v, offset in ((cfg.r_z, phi_f, z - dhat_f), (cfg.r_d, phi, 0.0)):
+            f = np.dot(v, s_new)
+            g = np.dot(s_new, f)
+            den = 1.0 / weight + float(np.dot(f, f))
+            if not 0.0 < den < math.inf:
+                raise NumericalInvariantError(self.k, "RLS update is not finite")
+            theta = theta - g * ((offset + float(np.dot(v, theta))) / den)
+            # S^T - f g^T / (den + sqrt(den / w)) in place, on the F-ordered view of S.
+            dger(-1.0 / (den + math.sqrt(den / weight)), f, g, a=s_new.T, overwrite_a=1)
+        if not (np.isfinite(s_new).all() and np.isfinite(theta).all()):
             raise NumericalInvariantError(self.k, "RLS update is not finite")
-        factor, p_new = self._factor_information(p_new)
-        # potrs reports only illegal arguments, which the shapes here rule out.
-        self.theta = self.theta - _POTRS(factor, rhs, lower=1)[0]
-        self.p_inv, self._p_spare = p_new, p_old
+        self.theta, self._p_sqrt, self._s_spare, self._p_info = theta, s_new, s_old, None
 
     def adapt_noise_covariances(self, forecast_var=None):
         """Choose the process-noise level eta and residual-noise variance V2 for this step.
@@ -447,7 +472,7 @@ class AiseFilter:
         """Measurement update and forecast-covariance propagation.
 
         Returns (x_da, K_da, P_da, next P_fc) and advances the stored
-        covariances and the closed-loop product stack.
+        covariances and the closed-loop weight vectors.
         """
         A = self.model.A
         gain = self.P_fc[:, 0] / -self._innovation_var(v2)
@@ -457,9 +482,11 @@ class AiseFilter:
         if self.k >= 1:
             # Closed-loop matrix A(I + K C): A with its first column shifted by A @ K.
             self._abar[:, 0] = A[:, 0] + np.dot(A, gain)
-            # Shifted in place: numpy gives overlapping operands the non-overlapping result.
-            np.matmul(self._abar, self.prodstack[:-1], out=self.prodstack[1:])
-            self.prodstack[0] = self._abar
+            # Row j becomes abar @ (old row j - 1), shifted in place: numpy gives
+            # overlapping operands the non-overlapping result.
+            W = self.loop_weights
+            np.matmul(W[:-1], self._abar.T, out=W[1:])
+            W[0] = np.dot(self._abar, self.model.B)
         P_fc = np.dot(np.dot(A, self.P_da), A.T)
         P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: np.dot returns a C-ordered array
         self.P_fc = 0.5 * (P_fc + P_fc.T)
@@ -538,14 +565,18 @@ class AiseFilter:
 
     def to_json(self):
         """Serialize config and full state; restoring continues bit-identically."""
-        state = {"config": asdict(self.cfg)}
+        state = {"version": _CHECKPOINT_VERSION, "config": asdict(self.cfg)}
         state.update((key, getattr(self, attr)) for key, attr in _CHECKPOINT)
         return json.dumps(state, default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, payload):
         state = json_object(json.loads(payload), "checkpoint")
-        expected = {"config", *(key for key, _ in _CHECKPOINT)}
+        version = state.get("version", 1)  # the first format had no version key
+        if type(version) is not int or version != _CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version {version!r}, not {_CHECKPOINT_VERSION}")
+        expected = {"version", "config", *(key for key, _ in _CHECKPOINT)}
         missing, unknown = sorted(expected - set(state)), sorted(set(state) - expected)
         if missing or unknown:
             raise ValueError(f"malformed checkpoint: missing {missing}, unknown {unknown}")

@@ -176,7 +176,7 @@ def test_filter_weights_geometric_for_constant_gain():
     abar = 1.0 + K
     f.k = 10
     for j in range(f.cfg.n_f - 1):
-        f.prodstack[j] = abar ** (j + 1)
+        f.loop_weights[j] = abar ** (j + 1) * f.model.B
     H = f._filter_weights()
     expected = 0.01 * abar ** np.arange(6)
     np.testing.assert_allclose(H, expected, rtol=1e-12)
@@ -186,7 +186,7 @@ def test_filter_regressor_direct_sum():
     # H = (0.01, 0.02) against lagged inputs (1, -1) gives -0.01.
     f = make_filter(n_e=1, n_f=2)
     f.k = 5
-    f.prodstack[0] = np.array([[2.0]])  # H_2 = 2 * t_s = 0.02
+    f.loop_weights[0] = 2.0 * f.model.B  # H_2 = 2 * t_s = 0.02
     f.dhat_hist[:2] = [1.0, -1.0]
     f.phi_hist[0] = [1.0, 0.0, 0.0]
     f.phi_hist[1] = [0.0, 1.0, 0.0]
@@ -489,8 +489,8 @@ def test_serialization_roundtrip_exact():
     f.run(ys)
     restored = AiseFilter.from_json(f.to_json())
     np.testing.assert_array_equal(restored.theta, f.theta)
-    np.testing.assert_array_equal(restored.p_inv, f.p_inv)
-    np.testing.assert_array_equal(restored.prodstack, f.prodstack)
+    np.testing.assert_array_equal(restored.P_sqrt, f.P_sqrt)
+    np.testing.assert_array_equal(restored.loop_weights, f.loop_weights)
     assert list(restored.z_hist) == list(f.z_hist)
     assert restored.k == f.k
     # continuation is bit-identical

@@ -1,5 +1,6 @@
 """Bad samples, checkpoint restore, per-step pins, RLS buffers and the arithmetic of AiseFilter."""
 
+import copy
 import hashlib
 import json
 
@@ -87,32 +88,34 @@ def test_failed_factorization_leaves_coefficients_unchanged():
     f = AiseFilter(benchmark_config(1))
     for y in bursty_stream(2)[:60]:
         f.step(y)
+    S = f.P_sqrt.copy()
     f.p_inv = -f.p_inv  # no diagonal lift can make this positive definite
     p_inv, theta = f.p_inv.copy(), f.theta.copy()
     phi = np.ones(len(theta))
     with pytest.raises(NumericalInvariantError):
         f.rls_update(1.0, phi, phi, 0.5, 0.0)
     np.testing.assert_array_equal(f.p_inv, p_inv)
+    np.testing.assert_array_equal(f.P_sqrt, S)
     np.testing.assert_array_equal(f.theta, theta)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_failed_rls_update_leaves_step_state_unchanged(order):
     # A step whose RLS update fails commits nothing: not the residual history,
-    # not the residual statistics. Restoring p_inv makes the retry match a twin.
+    # not the residual statistics. Restoring P_sqrt makes the retry match a twin.
     ys = bursty_stream(2)
     f = AiseFilter(benchmark_config(order))
     twin = AiseFilter(benchmark_config(order))
     for y in ys[:60]:
         f.step(y)
         twin.step(y)
-    good = f.p_inv
-    f.p_inv = -good  # no diagonal lift can make this positive definite
+    good = f.P_sqrt
+    f.p_inv = -f.p_inv  # no diagonal lift can make this positive definite
     snapshot = f.to_json()
     with pytest.raises(NumericalInvariantError):
         f.step(0.5)
     assert f.to_json() == snapshot
-    f.p_inv = good
+    f.P_sqrt = good
     assert f.step(0.5) == twin.step(0.5)
     assert f.to_json() == twin.to_json()
 
@@ -120,7 +123,7 @@ def test_failed_rls_update_leaves_step_state_unchanged(order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_failed_assimilation_leaves_step_state_unchanged(order):
     # The innovation-variance check fails after the RLS update would have run: the
-    # step still commits nothing, not theta, p_inv, the histories or V2.
+    # step still commits nothing, not theta, P_sqrt, the histories or V2.
     f = AiseFilter(benchmark_config(order))
     twin = AiseFilter(benchmark_config(order))
     for y in bursty_stream(4)[:80]:
@@ -253,12 +256,12 @@ def test_restore_at_any_step_continues_bit_identically(order, seed, split):
 # sha256 of to_json() after the first 400 samples of bursty_stream(4, 500),
 # and after a filter restored from that checkpoint takes the last 100.
 PINNED_CHECKPOINTS = {
-    1: ("c030a5cbeb51c8be38416d367db57edab09dee5c9f4873bce6605d37e0e6f6fd",
-        "95598223a9386fc339b4ff6e38f94006acbbd845e634f4f12dca66e7184fc986"),
-    2: ("f3035b4656fe3fc1d866b5ceed8e8bdd9e59e20d2a82fe5d55b881864ce774ce",
-        "f8a7fa61e5f6de511069f7c621981d6237c271ad1c69d6dfe65642f5e041a08e"),
-    3: ("e85510aa820285a393483b48ebbd9b4d8b93a5d911150cf63324345884a979a7",
-        "3b601c3f4193e9e02389c51d8bb2a7f6b052c05775ac06d1bb30993aa047c9b8"),
+    1: ("b59b6440cfaad67f73a1a7a720e45f6793ef5f82b8cb18cc6aa85746531af96d",
+        "ad8ceaf6445e443974eddf8889b49d47e733e440733d4f95c654a8f76dc134f4"),
+    2: ("12efd64a3c27a1deb860255c0ed8e704e9e89c65c489ad4577ebd8f0aa1f4d14",
+        "35f4dffb3ad9c34877c9ed5ca2b1e31910e30b20538ebcdece75ff0f1fc1f60b"),
+    3: ("3f746a17aeb58e3b44b2f46923d8f363fb8ba2f6a07b106a225c1ef59e9c742a",
+        "0dd14ab56769ce06fbd8dc0d72d8249606529fc182136272ce942db7887763d2"),
 }
 
 
@@ -278,7 +281,7 @@ def test_checkpoint_bytes_are_pinned(order):
 
 def test_small_window_checkpoint_bytes_are_pinned():
     # Windows the benchmark tuning never has: z_hist is tau_d = 12 long, longer than
-    # n_e + n_f = 5, and the product stack has 2 rows. sha256 of to_json() after the
+    # n_e + n_f = 5, and there are 2 closed-loop weight rows. sha256 of to_json() after the
     # first 200 samples of bursty_stream(4, 300), and after a restored filter takes the rest.
     digest = lambda payload: hashlib.sha256(payload.encode()).hexdigest()
     ys = bursty_stream(4, 300)
@@ -290,8 +293,8 @@ def test_small_window_checkpoint_bytes_are_pinned():
     for y in ys[200:]:
         restored.step(y)
     assert (digest(payload), digest(restored.to_json())) == (
-        "de5522eb366ccf2c864877105475bb5905e353dac0fc5b602b54c62713e4437a",
-        "eac54fc721e9025a09d7a3cf0dc8c5633a382ebdc23bc20ff96009b91f36fc71")
+        "329a8710d4f8af644f1c2a9e1f5c5dc9587400c3a7aa43c047c4967483682c22",
+        "0b76319cd22205aaa48df1d7d132536a32c19bce2b848fa52183c054dc391f01")
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -306,7 +309,7 @@ def test_small_window_checkpoint_bytes_are_pinned():
     (lambda state: state.update(res_mean=None), "res_mean"),
     (lambda state: state.update(eta_k=[0.002]), "eta_k"),
     (lambda state: state["phi_hist"][1].pop(), "phi_hist"),
-    (lambda state: state["p_inv"][0].__setitem__(0, "1.0"), "p_inv"),
+    (lambda state: state["P_sqrt"][0].__setitem__(0, "1.0"), "P_sqrt"),
     (lambda state: state.update(k=7.5, res_count=2.5), "k"),
     (lambda state: state.update(res_count=30.0), "res_count"),
     (lambda state: state.update(k=True), "k"),
@@ -315,7 +318,7 @@ def test_small_window_checkpoint_bytes_are_pinned():
     (lambda state: state.update(res_count=29), "res_count"),
 ], ids=["missing-z_hist", "missing-res_count", "missing-config", "unknown-key",
         "unknown-config-field", "short-z_hist", "short-theta", "string-k", "null-res_mean",
-        "list-eta_k", "ragged-phi_hist", "string-in-p_inv", "float-counters", "float-res_count",
+        "list-eta_k", "ragged-phi_hist", "string-in-P_sqrt", "float-counters", "float-res_count",
         "bool-k", "negative-k", "zero-res_count", "res_count-below-k"])
 def test_malformed_checkpoint_is_rejected(edit, key):
     f = AiseFilter(benchmark_config(2))
@@ -327,13 +330,30 @@ def test_malformed_checkpoint_is_rejected(edit, key):
         AiseFilter.from_json(json.dumps(state))
 
 
+@pytest.mark.parametrize("version, found", [
+    (None, "1"), (1, "1"), (3, "3"), ("2", "'2'"), (2.0, "2.0"), (True, "True")])
+def test_unknown_checkpoint_version_is_rejected(version, found):
+    # A checkpoint without a version key is the first format, which held p_inv and prodstack.
+    f = AiseFilter(benchmark_config(2))
+    for y in bursty_stream(5)[:30]:
+        f.step(y)
+    state = json.loads(f.to_json())
+    assert state["version"] == 2
+    if version is None:
+        del state["version"]
+    else:
+        state["version"] = version
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {found},"):
+        AiseFilter.from_json(json.dumps(state))
+
+
 def helix_column(axis, seed, n):
     """One axis of the benchmark helix with N(0, 0.1^2) measurement noise."""
     return add_noise(truth_arrays("helical", n - 1, 0.01)[0], 0.1, seed)[:, axis]
 
 
 # Configs whose every step is pinned: the benchmark orders, an "interpolated" channel,
-# small windows (z_hist longer than n_e + n_f, a 2-row product stack) and variance
+# small windows (z_hist longer than n_e + n_f, 2 closed-loop weight rows) and variance
 # windows of 9 and 40 residuals. Forgetting fires on every one of them.
 STEP_PIN_CONFIGS = {
     "benchmark-o1": benchmark_config(1),
@@ -348,12 +368,12 @@ STEP_PIN_CONFIGS = {
 # (seed 8, 1200 samples): the estimate, each field of `last`, and to_json() every 300
 # steps, with the filter replaced by its restored checkpoint at step 600.
 PINNED_STEPS = {
-    "benchmark-o1": "9db9a5674382e7a75e7c29b3423570271be307a43428684e8f55f49bfc7b7aa2",
-    "benchmark-o2": "4911cb471c6f11f1ff314ab40a2812b4dfec8c07c487b56ae400c88ff1a2b4e0",
-    "benchmark-o3": "0be8bbdcadd61e3143661880d35c55063dc900dce688d6de9566966afbc81bde",
-    "interpolated-o2": "854433e5b1e02426f6638ab85a94873f882fc1e0d60662cef32b7f2b1a814c7e",
-    "small-window-o3": "2dc459e69d17d5f03924d68a4e457aece0a295ed24fc45a606d87728fd677881",
-    "long-vrf-o2": "fc8d4391ba44d8fbfed196b2d27497b2a7702db2c62cab256d63bd66d0b419a7",
+    "benchmark-o1": "d7716cfecc67a0404d59dd8dae79429fd01bb91e30bfb8760855be38ed49f222",
+    "benchmark-o2": "13c69d457f3f05bf7df82132156e3aa8ea2d8ad817c421a147bf7641ddd5a46a",
+    "benchmark-o3": "b8c28051b0e310fd55bd869884fa18ebfdef34cca95aa52ca979f8394205ae37",
+    "interpolated-o2": "66d73301002411f01aaaeac807110ac7e2365f0238aef89b2199c29585b75ccd",
+    "small-window-o3": "1436ba71f1f00fa6b3b9aee27caaa8d37724b43fc453d7aafda57c8d21463bec",
+    "long-vrf-o2": "2ab21586dae8b3f3014ee17a48aa53c0a8eb3a9cb951693a63e4fb822aaef8e0",
 }
 
 
@@ -378,26 +398,109 @@ def test_every_step_is_pinned(name):
     assert digest.hexdigest() == PINNED_STEPS[name]
 
 
+class InformationFormRls:
+    """The RLS step in information form, which AiseFilter.rls_update makes on a covariance root."""
+
+    def __init__(self, cfg):
+        self.cfg, self.theta = cfg, np.zeros(cfg.l_theta)
+        self.p_inv = cfg.r_theta * np.eye(cfg.l_theta)
+
+    def update(self, lam, phi, phi_f, z, dhat_f):
+        cfg = self.cfg
+        self.p_inv = (lam * self.p_inv + (1.0 - lam) * cfg.r_inf * np.eye(cfg.l_theta)
+                      + cfg.r_z * np.outer(phi_f, phi_f) + cfg.r_d * np.outer(phi, phi))
+        rhs = (cfg.r_z * (z - dhat_f + phi_f @ self.theta) * phi_f
+               + cfg.r_d * (phi @ self.theta) * phi)
+        self.theta = self.theta - np.linalg.solve(self.p_inv, rhs)
+
+
+def assert_close(got, expected, step, p_inv=None):
+    """Within 1e-9 relative, or, for theta, within the conditioning of its normal equations.
+
+    Solving p_inv theta = b loses up to cond(p_inv) * eps of relative accuracy in any form:
+    with the long variance windows, where cond reaches 3e10, two information-form solvers
+    already differ by 1e-7.
+    """
+    error, size = np.linalg.norm(got - expected), np.linalg.norm(expected)
+    if error > 1e-9 * size:
+        assert p_inv is not None, f"step {step}: relative error {error / size:.2e}"
+        bound = np.finfo(float).eps * np.linalg.cond(p_inv)
+        assert error <= bound * size, f"step {step}: relative error {error / size:.2e} > {bound:.2e}"
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PIN_CONFIGS))
+def test_covariance_form_tracks_the_information_form(name):
+    # The reference steps its own theta and information matrix on the regressors,
+    # residuals and forgetting factors of the filter, over the streams of the step pins.
+    forgetting = 0
+    for ys in (bursty_stream(6, 1200), helix_column(0, 8, 1200), helix_column(2, 8, 1200)):
+        f = AiseFilter(STEP_PIN_CONFIGS[name])
+        reference = InformationFormRls(f.cfg)
+        for y in ys:
+            f.step(y)
+            last = f.last
+            reference.update(last.lam, last.phi, last.phi_f, last.z, last.dhat_f)
+            forgetting += last.lam < 1.0
+            assert_close(f.theta, reference.theta, last.k, reference.p_inv)
+            assert_close(f.p_inv, reference.p_inv, last.k)
+    assert forgetting > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.sampled_from([1, 2, 3]), axis=st.sampled_from([0, 2]),
+       seed=st.integers(0, 2**16), scale=st.floats(-6.0, 6.0))
+def test_covariance_stays_symmetric_and_definite_at_any_scale(order, axis, seed, scale):
+    f = AiseFilter(benchmark_config(order))
+    for y in helix_column(axis, seed, 200) * 10.0**scale:
+        before = copy.deepcopy(f)
+        try:
+            f.step(y)
+        except NumericalInvariantError:
+            assert f.to_json() == before.to_json()
+            continue
+        P = f.P_rls
+        assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+        # P = S S^T = R^T R for the QR factor R of S^T, a Cholesky factor of P whose diagonal
+        # is nonzero exactly when P is definite. Far from unit scale P's condition number
+        # passes 1e16, where factoring P itself in floating point fails.
+        r = np.linalg.qr(f.P_sqrt.T, mode="r")
+        assert np.isfinite(r).all() and np.abs(np.diag(r)).min() > 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_no_step_raises_from_1e_minus_6_to_1e6(order):
+    # The square-root form keeps the RLS update finite and definite at every scale. A
+    # covariance P updated by Sherman-Morrison, and the information form past 1e5 (where
+    # its right-hand side overflows), both raise on some of these streams.
+    for axis in (0, 2):
+        column = helix_column(axis, 0, 200)
+        for exponent in range(-6, 7):
+            f = AiseFilter(benchmark_config(order))
+            for y in column * 10.0**exponent:
+                f.step(y)
+            assert np.isfinite(f.theta).all() and np.isfinite(f.P_sqrt).all()
+
+
 @pytest.mark.parametrize("layout", ["read-only", "fortran", "transposed"])
 def test_filter_owns_its_rls_buffers(layout):
-    # A p_inv assigned from outside becomes the RLS spare a step later. The filter must
-    # not reuse it when it is read-only (numpy refuses the write) or not C-ordered (dgemm
-    # would update a copy and the step would lose its rank-one terms).
+    # A P_sqrt assigned from outside must not become the RLS spare a step later: numpy
+    # refuses to write a read-only one, and dger would update a copy of one that is not
+    # C-ordered, so the step would lose its rank-one terms.
     ys = bursty_stream(7)
     f = AiseFilter(benchmark_config(2))
     twin = AiseFilter(benchmark_config(2))
     for y in ys[:50]:
         f.step(y)
         twin.step(y)
-    p_inv = twin.p_inv.copy()
+    S = twin.P_sqrt.copy()
     if layout == "read-only":
-        p_inv.setflags(write=False)
+        S.setflags(write=False)
     elif layout == "fortran":
-        p_inv = np.asfortranarray(p_inv)
-    else:  # a view of a copy: p_inv is symmetric, so it holds the same values
-        p_inv = p_inv.copy().T
-    f.p_inv = p_inv
+        S = np.asfortranarray(S)
+    else:  # a transposed view of a copy of the transpose holds the same values
+        S = S.T.copy().T
+    f.P_sqrt = S
     for y in ys[50:]:
         assert f.step(y) == twin.step(y)
-        np.testing.assert_array_equal(f.p_inv, twin.p_inv)
+        np.testing.assert_array_equal(f.P_sqrt, twin.P_sqrt)
     assert f.to_json() == twin.to_json()

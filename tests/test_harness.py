@@ -207,19 +207,20 @@ def test_run_experiment_deterministic_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# sha256 of predictions.csv and trace.csv, recorded before the writers were
-# rebuilt on ndarray.tolist(): the artifact bytes may not move.
+# sha256 of predictions.csv and trace.csv. The writers may not move a byte; the
+# helix and parabolic pins were re-recorded when the RLS update of AiseFilter moved
+# to square-root covariance form, which changes the estimates in their last bits.
 PINNED_ARTIFACTS = {
     "helix": (
         dict(scenario="helical", n_steps=600, k0=300, horizon=50, seed=11),
-        "93f1c368c8ab27ac5fd3c95615a9845fe319a0e58e04c673c0a2f444947e7a71",
-        "7953a950cdd71429e51fb14062054b4c5dacf87be7b346eec58354a4ea11e0b1",
+        "1b87e671d2e1d3b6abff22ae9b9f9553d468304310a86ae768c074708c81a591",
+        "91f5d03f5328032c5821d71e92cee44d9d76d491bb1a9ade2e85e3864c9e6cb0",
     ),
     "parabolic": (
         dict(scenario="parabolic", n_steps=600, k0=300, horizon=50, seed=11,
              anchor_on_estimate=True),
-        "f23e466f888b3e174c66e0d2659e9371a80f82e43f698a5d1dc9fdd4f1604a27",
-        "8cf0ecc1b5c3a65590cc6876715898fd6ab95d3c57d8a9df32d0db701b9d8ea1",
+        "826229948cc53c78038c823771a810f97e03de562fc604cddf81ecc7ae4b4bd6",
+        "00a2c9a3b0292e48cc90f944566c63a0f0e299ec27288729442632e519da3a9f",
     ),
     # Recorded while every /va method still formatted its own prediction set.
     "truth": (
@@ -306,9 +307,9 @@ def test_run_experiment_rejects_short_csv(tmp_path):
 
 # sha256 of report.json and manifest.json for the PINNED_ARTIFACTS configs.
 PINNED_JSON_ARTIFACTS = {
-    "helix": ("33530b9e253fde4b0d2b77db012d42e7b046cea4926dc673ded1e7c4723c7078",
+    "helix": ("6f25a444a1502d050e69d6f9686869c9eae2655ff4c9a1e260d80292a383181c",
               "ffbcba6fff5952e8bfda9687a2984482a39b43bf3d084fe943a2d97fd03cd06e"),
-    "parabolic": ("e7c3c05f77a57666e24fb9450841cc08dd5ef97b7eae39a7b62eb5a14dab0a41",
+    "parabolic": ("91d1640668d618ca6651215c72b8b345de0bd253f0d102778e1ebf6101eabd75",
                   "2cc376e6f0f1810ea2753da73cefcf05120a94ae5c2b86685acfcce259b88082"),
     "truth": ("fff78320a15fbc22f94fd23110d57b1ab76f6e7c4c6909f420dd2838e3e0982f",
               "a3620086929ce40ae1d56f921aa0a3f876b0f1f646759e8a7be14aba4875894e"),
