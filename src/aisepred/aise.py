@@ -51,8 +51,8 @@ class InvalidSample(NumericalInvariantError, ValueError):
     """A measurement was not a finite number; the filter state is unchanged."""
 
 
-# LAPACK's Cholesky factor and triangular inverse, without scipy's wrappers.
-_POTRF, _TRTRI = get_lapack_funcs(("potrf", "trtri"), dtype=np.float64)
+# LAPACK's Cholesky factor, without scipy's wrapper.
+_POTRF = get_lapack_funcs("potrf", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,26 +130,27 @@ def json_object(value, what):
     return value
 
 
-# The JSON types an integer field accepts: a bool or a float is not an integer.
-_INTEGER_TYPES = {int: (int,), int | None: (int, type(None))}
+# The JSON types a field of each annotation takes: a bool is neither an integer nor a
+# number, a float field takes an integer, and a tuple field is read from a list of strings.
+_FIELD_TYPES = {
+    int: ("an integer", (int,)), int | None: ("an integer", (int, type(None))),
+    float: ("a number", (int, float)), float | None: ("a number", (int, float, type(None))),
+    bool: ("a boolean", (bool,)), str: ("a string", (str,)), tuple: ("a list of strings", (list,)),
+}
 
 
 def from_fields(cls, data):
-    """cls(**data), after checking that data is a JSON object of fields of the dataclass cls.
-
-    A field annotated int (or int | None) must hold an int; float fields take any number.
-    """
+    """cls(**data), after checking that data is a JSON object of fields of the dataclass cls,
+    each of a JSON type that its annotation takes (_FIELD_TYPES)."""
     unknown = set(json_object(data, cls.__name__)) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     for f in fields(cls):
-        allowed = _INTEGER_TYPES.get(f.type)
-        if allowed and f.name in data and type(data[f.name]) not in allowed:
-            raise ValueError(f"{cls.__name__}: {f.name} must be an integer, got {data[f.name]!r}")
-    try:
-        return cls(**data)
-    except TypeError as exc:  # a field of the wrong JSON type, e.g. a string where a number goes
-        raise ValueError(f"{cls.__name__}: {exc}") from exc
+        if f.name in data and f.type in _FIELD_TYPES:
+            (what, types), value = _FIELD_TYPES[f.type], data[f.name]
+            if type(value) not in types or f.type is tuple and not all(type(s) is str for s in value):
+                raise ValueError(f"{cls.__name__}: {f.name} must be {what}, got {value!r}")
+    return cls(**data)
 
 
 def benchmark_config(order, t_s=0.01):
@@ -260,12 +261,8 @@ class AiseFilter:
     filter is well defined from the first sample.
     """
 
-    def __init__(self, config=None, **overrides):
-        if config is None:
-            config = AiseConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config object or keyword overrides, not both")
-        self.cfg = config
+    def __init__(self, config=None):
+        self.cfg = config = config or AiseConfig()
         self.model = build_integrator(config.order, config.t_s)
         self.adapt_start = config.adapt_start if config.adapt_start is not None else config.n_f
         self._f_crit = f_critical(config.tau_n - 1, config.tau_d - 1)
@@ -312,7 +309,7 @@ class AiseFilter:
 
     @P_sqrt.setter
     def P_sqrt(self, value):  # stored as a C-ordered copy, which dger can update in place
-        self._p_sqrt, self._p_info = np.array(value, dtype=float, order="C"), None
+        self._p_sqrt = np.array(value, dtype=float, order="C")
         self._s_spare = np.empty_like(self._p_sqrt)  # scratch, not state: the next P_sqrt
 
     @property
@@ -322,17 +319,19 @@ class AiseFilter:
 
     @property
     def p_inv(self):
-        """RLS information matrix, inv(P_rls). An assigned one is kept until the next RLS
-        update factors it into P_sqrt; if it is not positive definite, that update raises."""
-        if self._p_info is not None:
-            return self._p_info
+        """RLS information matrix, inv(P_rls). Assigning one sets P_sqrt = L^-T for its
+        Cholesky factor L; one that is not positive definite raises and changes nothing."""
         s_inv = np.linalg.inv(self._p_sqrt)
         return s_inv.T @ s_inv
 
     @p_inv.setter
-    def p_inv(self, value):
-        self._p_info = np.array(value, dtype=float)
-        self._s_spare = np.empty_like(self._p_info, order="C")
+    def p_inv(self, value):  # potrf reads only the lower triangle of value's transpose
+        value = np.asarray(value, dtype=float)
+        factor, info = _POTRF(value.T, lower=1)
+        s = dtrsm(1.0, factor, np.eye(len(factor)), lower=1, trans_a=1)  # solves L^T S = I
+        if info != 0 or not (np.isfinite(value).all() and np.isfinite(s).all()):
+            raise NumericalInvariantError(self.k, "RLS information matrix is not positive definite")
+        self.P_sqrt = s
 
     def residual_variance(self):
         """Sample variance of all residuals seen so far (None before step 1)."""
@@ -356,18 +355,6 @@ class AiseFilter:
         H = self._filter_weights()
         return np.dot(H, self.phi_hist), float(np.dot(H, self.dhat_hist[: self.cfg.n_f]))
 
-    def _factor_information(self, p_inv):
-        """S = L^-T, so S S^T = inv(p_inv), for the Cholesky factor L of p_inv's transpose (no
-        copy; only the lower triangle is read). A failure at machine-precision scale is retried
-        once with an epsilon-sized diagonal lift; a failure beyond that raises."""
-        c, info = _POTRF(p_inv.T, lower=1)
-        lift = 1e-12 * float(np.max(np.diag(p_inv)))
-        if info != 0 and lift > 0:
-            c, info = _POTRF((p_inv + lift * np.eye(len(p_inv))).T, lower=1)
-        if info != 0:
-            raise NumericalInvariantError(self.k, "RLS information matrix is not positive definite")
-        return np.array(_TRTRI(c, lower=1)[0].T, order="C")  # L's diagonal is positive
-
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
         """Forgetting/resetting RLS step on S, S S^T = inv(p_inv), and the coefficients.
 
@@ -382,8 +369,7 @@ class AiseFilter:
         callers that keep P_sqrt must copy it.
         """
         cfg = self.cfg
-        s_old = self._p_sqrt if self._p_info is None else self._factor_information(self._p_info)
-        s_new = self._s_spare
+        s_old, s_new = self._p_sqrt, self._s_spare
         np.copyto(s_new, s_old)
         if lam != 1.0:
             gram = (1.0 - lam) * cfg.r_inf * np.dot(s_old.T, s_old)
@@ -404,7 +390,7 @@ class AiseFilter:
             dger(-1.0 / (den + math.sqrt(den / weight)), f, g, a=s_new.T, overwrite_a=1)
         if not (np.isfinite(s_new).all() and np.isfinite(theta).all()):
             raise NumericalInvariantError(self.k, "RLS update is not finite")
-        self.theta, self._p_sqrt, self._s_spare, self._p_info = theta, s_new, s_old, None
+        self.theta, self._p_sqrt, self._s_spare = theta, s_new, s_old
 
     def adapt_noise_covariances(self, forecast_var=None):
         """Choose the process-noise level eta and residual-noise variance V2 for this step.

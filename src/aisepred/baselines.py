@@ -47,9 +47,6 @@ class ButterworthCascade:
         self._sosfilt = sosfilt
         self._zi = None
 
-    def reset(self):
-        self._zi = None
-
     def step(self, x):
         """Filter one sample."""
         return float(self.filter([x])[0])

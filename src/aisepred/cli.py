@@ -8,12 +8,12 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 from . import __version__
-from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
+from .aise import AiseFilter
 from .harness import (ExperimentConfig, estimate, load_config, method_family, normalize_method,
-                      run_experiment)
+                      run_experiment, tuned_aise_config)
 from .oracles import compute_goldens
 from .prediction import DerivativeEstimate, predict
 from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv
@@ -77,10 +77,9 @@ def _cmd_differentiate(args):
     overrides = {}
     if args.config:
         with open(args.config) as fh:
-            overrides = json_object(json.load(fh), "config")
+            overrides = json.load(fh)
     # The file's order and t_s are ignored: --order and the CSV set them.
-    config = from_fields(AiseConfig, {**asdict(benchmark_config(args.order, t_s)), **overrides,
-                                      "order": args.order, "t_s": t_s})
+    config = tuned_aise_config(args.order, overrides, t_s)
     derivatives = [AiseFilter(config).run(column).tolist() for column in cols.values()]
     with _output(args.out) as out:
         out.write("t," + ",".join(f"d{name}" for name in cols) + "\n")

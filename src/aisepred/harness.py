@@ -331,6 +331,18 @@ def config_to_dict(config):
     return out
 
 
+def tuned_aise_config(order, overrides, t_s=0.01):
+    """benchmark_config(order, t_s) with the fields of the JSON object overrides on top.
+
+    The overrides' own order and t_s are ignored. An experiment config's aise.orderN blocks
+    and the differentiate command's config file are read this way, so a partial block
+    changes only the fields it names.
+    """
+    base = asdict(benchmark_config(order, t_s))
+    return from_fields(AiseConfig, {**base, **json_object(overrides, "AiseConfig"),
+                                    "order": order, "t_s": t_s})
+
+
 def config_from_dict(data):
     """Inverse of config_to_dict; unknown keys are rejected at every level."""
     data = dict(json_object(data, "config"))
@@ -341,7 +353,9 @@ def config_from_dict(data):
     if flat:  # these fields are read only from their nested blocks
         raise ValueError(f"unknown config fields: {flat}")
     for name, block in json_object(data.pop("aise", {}), "aise").items():
-        data[f"aise_{name}"] = None if block is None else from_fields(AiseConfig, block)
+        if name not in ("order1", "order2", "order3"):
+            raise ValueError(f"unknown config fields: ['aise_{name}']")
+        data[f"aise_{name}"] = None if block is None else tuned_aise_config(int(name[-1]), block)
     for name, value in json_object(data.pop("butterworth", {}), "butterworth").items():
         data[f"butterworth_{name}"] = value
     return from_fields(ExperimentConfig, data)

@@ -158,8 +158,8 @@ def read_timeseries_csv(path_or_file):
         data = np.asarray(rows)
         t = data[:, 0]
         dt = np.diff(t)
-        if np.any(dt <= 0):
-            bad = int(np.argmax(dt <= 0))
+        if not np.all(dt > 0):  # false for a NaN time as well
+            bad = int(np.argmin(dt > 0))
             raise ValueError(f"line {bad + 3}: time column must be strictly increasing")
         if np.any(np.abs(dt - dt[0]) > _SPACING_TOL):
             bad = int(np.argmax(np.abs(dt - dt[0]) > _SPACING_TOL))

@@ -82,13 +82,6 @@ def test_benchmark_config_orders():
     assert benchmark_config(3).beta == 0.5
 
 
-def test_filter_keyword_construction():
-    f = AiseFilter(order=2, t_s=0.02, n_e=3)
-    assert f.cfg.order == 2 and f.cfg.n_e == 3
-    with pytest.raises(ValueError, match="either a config object or keyword"):
-        AiseFilter(AiseConfig(), order=1)
-
-
 # ---------------------------------------------------------------------------
 # Input estimate
 # ---------------------------------------------------------------------------

@@ -88,15 +88,23 @@ def test_failed_factorization_leaves_coefficients_unchanged():
     f = AiseFilter(benchmark_config(1))
     for y in bursty_stream(2)[:60]:
         f.step(y)
-    S = f.P_sqrt.copy()
-    f.p_inv = -f.p_inv  # no diagonal lift can make this positive definite
-    p_inv, theta = f.p_inv.copy(), f.theta.copy()
-    phi = np.ones(len(theta))
-    with pytest.raises(NumericalInvariantError):
-        f.rls_update(1.0, phi, phi, 0.5, 0.0)
+    p_inv, S, theta = f.p_inv, f.P_sqrt.copy(), f.theta.copy()
+    with pytest.raises(NumericalInvariantError, match="not positive definite"):
+        f.p_inv = -p_inv  # the assignment factors it, and fails there
     np.testing.assert_array_equal(f.p_inv, p_inv)
     np.testing.assert_array_equal(f.P_sqrt, S)
     np.testing.assert_array_equal(f.theta, theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_information_matrix_is_refused(bad):
+    # LAPACK's Cholesky factorization passes a NaN through, and an infinite diagonal entry
+    # gives a finite but singular P_sqrt; the assignment refuses both.
+    f = AiseFilter(AiseConfig(n_e=1))
+    S = f.P_sqrt.copy()
+    with pytest.raises(NumericalInvariantError, match="not positive definite"):
+        f.p_inv = np.diag([1.0, bad, 1.0])
+    np.testing.assert_array_equal(f.P_sqrt, S)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -110,7 +118,7 @@ def test_failed_rls_update_leaves_step_state_unchanged(order):
         f.step(y)
         twin.step(y)
     good = f.P_sqrt
-    f.p_inv = -f.p_inv  # no diagonal lift can make this positive definite
+    f.P_sqrt = np.full_like(good, np.nan)  # every RLS denominator is then NaN
     snapshot = f.to_json()
     with pytest.raises(NumericalInvariantError):
         f.step(0.5)
@@ -118,6 +126,22 @@ def test_failed_rls_update_leaves_step_state_unchanged(order):
     f.P_sqrt = good
     assert f.step(0.5) == twin.step(0.5)
     assert f.to_json() == twin.to_json()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_assigned_information_matrix_is_checkpointed(order):
+    # Assigning p_inv sets P_sqrt at once, so a checkpoint taken right after carries it.
+    ys = bursty_stream(5)
+    f = AiseFilter(benchmark_config(order))
+    for y in ys[:60]:
+        f.step(y)
+    before = f.to_json()
+    f.p_inv = 2.0 * f.cfg.r_theta * np.eye(f.cfg.l_theta)
+    assert f.to_json() != before
+    restored = AiseFilter.from_json(f.to_json())
+    for y in ys[60:120]:
+        assert restored.step(y) == f.step(y)
+    assert restored.to_json() == f.to_json()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

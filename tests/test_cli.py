@@ -267,8 +267,13 @@ def test_config_of_the_wrong_json_type_is_an_error(tmp_path, capsys, command, pa
     ({"aise": {"order1": {"n_e": 2.5}}}, "AiseConfig"),
     ({"seed": True}, "ExperimentConfig"),
     ({"aise": {"order3": {"adapt_start": 60.0}}}, "AiseConfig"),
+    ({"truth_derivatives": "false"}, "ExperimentConfig"),
+    ({"sigma": "0.1"}, "ExperimentConfig"),
+    ({"scenario": 5}, "ExperimentConfig"),
+    ({"methods": [1]}, "ExperimentConfig"),
 ], ids=["n_steps-string", "r_theta-string", "n_steps-float", "n_e-float", "seed-bool",
-        "adapt_start-float"])
+        "adapt_start-float", "truth_derivatives-string", "sigma-string", "scenario-int",
+        "methods-int"])
 def test_config_value_of_the_wrong_scalar_type_is_an_error(tmp_path, capsys, payload, record):
     # Beside the wrong-container cases above: a string where a number goes, or a float
     # or bool where an integer goes, is a usage error naming the record, not a traceback.

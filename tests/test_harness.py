@@ -350,6 +350,16 @@ def test_config_unknown_nested_key_rejected(edit, unknown):
         config_from_dict(data)
 
 
+def test_partial_aise_block_goes_on_top_of_the_benchmark_tuning():
+    # A block changes only the fields it names, as the differentiate file does; its own
+    # order and t_s are ignored.
+    config = config_from_dict({"t_s": 0.02, "aise": {"order1": {"r_d": 0.1},
+                                                     "order3": {"beta": 0.6, "order": 1}}})
+    assert config.aise_config(1) == benchmark_config(1, 0.02)
+    assert config.aise_config(2) == benchmark_config(2, 0.02)
+    assert config.aise_config(3) == replace(benchmark_config(3, 0.02), beta=0.6)
+
+
 def test_config_to_dict_writes_every_field():
     # A field the serializer dropped would come back as its default on both
     # sides of a round trip, and the manifest would lose it silently.

@@ -132,6 +132,13 @@ def test_nonincreasing_time_rejected():
         read_positions_csv(buf)
 
 
+def test_nan_time_rejected_with_its_line():
+    # NaN compares false, so neither the increasing nor the spacing test may read it as a pass.
+    buf = io.StringIO("t,x\n0.0,1\n0.01,1\nnan,1\n0.03,1\n")
+    with pytest.raises(ValueError, match="line 4: time column must be strictly increasing"):
+        read_timeseries_csv(buf)
+
+
 def test_malformed_field_reports_line():
     buf = io.StringIO("t,x,y,z\n0.0,0,0,0\n0.01,oops,0,0\n")
     with pytest.raises(ValueError, match="line 3"):
