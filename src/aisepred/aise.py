@@ -30,6 +30,7 @@ from .integrators import build_integrator
 __all__ = [
     "AiseConfig",
     "AiseFilter",
+    "CheckpointVersionError",
     "InvalidSample",
     "StepDiagnostics",
     "NumericalInvariantError",
@@ -49,6 +50,10 @@ class NumericalInvariantError(RuntimeError):
 
 class InvalidSample(NumericalInvariantError, ValueError):
     """A measurement was not a finite number; the filter state is unchanged."""
+
+
+class CheckpointVersionError(ValueError):
+    """A checkpoint's format version is not the one AiseFilter.from_json reads."""
 
 
 # LAPACK's Cholesky factor, without scipy's wrapper.
@@ -92,23 +97,23 @@ class AiseConfig:
     def __post_init__(self):
         if self.order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2, or 3, got {self.order!r}")
-        if self.t_s <= 0:
-            raise ValueError("t_s must be positive")
+        if not 0 < self.t_s < math.inf:
+            raise ValueError("t_s must be finite and positive")
         if self.n_e < 1 or self.n_f < 2:  # n_f - 1 closed-loop products are kept
             raise ValueError("need n_e >= 1 and n_f >= 2")
         for name in ("r_z", "r_d", "r_theta", "r_inf"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.eta_l <= self.eta_u:
-            raise ValueError("need 0 < eta_l <= eta_u (log-spaced search grid)")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.eta_l <= self.eta_u < math.inf:
+            raise ValueError("need 0 < eta_l <= eta_u < inf (log-spaced search grid)")
         if not self.eta_l <= self.eta_init <= self.eta_u:
             raise ValueError("eta_init must lie in [eta_l, eta_u]")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
         if self.tau_n < 2 or self.tau_d <= self.tau_n:
             raise ValueError("need tau_n >= 2 and tau_d > tau_n")
-        if self.alpha_vrf < 0:
-            raise ValueError("alpha_vrf must be >= 0")
+        if not 0 <= self.alpha_vrf < math.inf:
+            raise ValueError("alpha_vrf must be finite and >= 0")
         if self.eta_grid_points < 2:
             raise ValueError("eta_grid_points must be >= 2")
         if self.adapt_start is not None and self.adapt_start < 1:
@@ -241,16 +246,12 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     return 1.0
 
 
-# Checkpointed filter state: (JSON key, AiseFilter attribute), in to_json order after "version"
-# and "config". Version 1 had no "version" key and held p_inv and prodstack (matrix products).
-_CHECKPOINT_VERSION = 2
-_CHECKPOINT = (
-    ("k", "k"), ("theta", "theta"), ("P_sqrt", "P_sqrt"), ("x_fc", "x_fc"), ("x_da", "x_da"),
-    ("P_fc", "P_fc"), ("P_da", "P_da"), ("dhat_hist", "dhat_hist"), ("z_hist", "z_hist"),
-    ("phi_hist", "phi_hist"), ("loop_weights", "loop_weights"), ("res_count", "_res_count"),
-    ("res_mean", "_res_mean"), ("res_m2", "_res_m2"), ("eta_k", "eta_k"), ("v2_k", "v2_k"),
-    ("lambda_k", "lambda_k"),
-)
+# Checkpointed filter state, each key the AiseFilter attribute it holds, in to_json order after
+# "version" and "config". Version 1 had no "version" key and held p_inv and prodstack (matrix
+# products); version 2 also held res_count (always k) and windows longer than the step reads.
+_CHECKPOINT_VERSION = 3
+_CHECKPOINT = ("k", "theta", "P_sqrt", "x_fc", "x_da", "P_fc", "P_da", "dhat_hist", "z_hist",
+               "phi_hist", "loop_weights", "res_mean", "res_m2", "eta_k", "v2_k", "lambda_k")
 
 
 class AiseFilter:
@@ -287,16 +288,16 @@ class AiseFilter:
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
         self.P_da = np.zeros((n, n))
-        # Every window is newest first and is shifted in place by one step.
-        self.dhat_hist = np.zeros(cfg.n_e + cfg.n_f)
-        self.z_hist = np.zeros(max(cfg.n_e + cfg.n_f, cfg.tau_d))
+        # Windows are newest first, shifted in place by one step, and as long as the step reads:
+        # phi takes n_e inputs and residuals, phi_f n_f inputs, the F-test tau_d - 1 residuals.
+        self.dhat_hist = np.zeros(max(cfg.n_e, cfg.n_f))
+        self.z_hist = np.zeros(max(cfg.n_e, cfg.tau_d - 1))
         self.phi_hist = np.zeros((cfg.n_f, lt))                 # row i = phi at step k-1-i
         # Row j is (the last j+1 closed-loop matrices, newest leftmost) @ B; its first entry
         # is the filter weight at lag j+2. Zero rows encode missing history.
         self.loop_weights = np.zeros((cfg.n_f - 1, n))
-        self._res_count = 0
-        self._res_mean = 0.0
-        self._res_m2 = 0.0
+        self.res_mean = 0.0  # mean and summed squared deviation of the k residuals so far
+        self.res_m2 = 0.0
         self.eta_k = cfg.eta_init
         self.v2_k = 1.0
         self.lambda_k = 1.0
@@ -332,12 +333,6 @@ class AiseFilter:
         if info != 0 or not (np.isfinite(value).all() and np.isfinite(s).all()):
             raise NumericalInvariantError(self.k, "RLS information matrix is not positive definite")
         self.P_sqrt = s
-
-    def residual_variance(self):
-        """Sample variance of all residuals seen so far (None before step 1)."""
-        if self._res_count < 2:
-            return None
-        return self._res_m2 / (self._res_count - 1)
 
     # ------------------------------------------------------------------
     # Individual operations (composed by step)
@@ -392,16 +387,17 @@ class AiseFilter:
             raise NumericalInvariantError(self.k, "RLS update is not finite")
         self.theta, self._p_sqrt, self._s_spare = theta, s_new, s_old
 
-    def adapt_noise_covariances(self, forecast_var=None):
-        """Choose the process-noise level eta and residual-noise variance V2 for this step.
+    def _noise_levels(self, s_hat, forecast_var):
+        """The process-noise level eta and residual-noise variance V2 for this step.
 
-        Before the warmup horizon the configured initial level is used with
-        the running residual variance (1.0 until that exists). Afterwards
-        eta + V2 must match the residual-variance surplus c = s_hat -
-        forecast_var, with V2 >= 0 and eta on the log-spaced grid from eta_l
-        to eta_u. The surplus c - eta falls as eta rises, so the grid points
-        that leave V2 = c - eta positive are the first m = searchsorted(grid,
-        c), all of which match c exactly; the eta_rule setting picks one:
+        s_hat is the sample variance of every residual so far, this step's included (None
+        before two), and forecast_var that of the assimilated state's forecast (None before
+        adapt_start). Before the warmup horizon the configured initial level is used with
+        s_hat (1.0 until that exists). Afterwards eta + V2 must match the residual-variance
+        surplus c = s_hat - forecast_var, with V2 >= 0 and eta on the log-spaced grid from
+        eta_l to eta_u. The surplus c - eta falls as eta rises, so the grid points that leave
+        V2 = c - eta positive are the first m = searchsorted(grid, c), all of which match c
+        exactly; the eta_rule setting picks one:
 
         * "floor": the first, grid[0]. Every adapted step therefore has eta =
           grid[0] and V2 = max(c - grid[0], 0), so eta_u and eta_grid_points
@@ -421,12 +417,6 @@ class AiseFilter:
         result is (grid[0], 0.0). eta is always a grid value, so it can differ
         from eta_l in the last bit.
         """
-        if forecast_var is None and self.k >= self.adapt_start:
-            forecast_var = self._forecast_var()
-        return self._noise_levels(self.residual_variance(), forecast_var)
-
-    def _noise_levels(self, s_hat, forecast_var):
-        """adapt_noise_covariances for the residual variance s_hat (None before two residuals)."""
         if self.k < self.adapt_start:
             return self.cfg.eta_init, (s_hat if s_hat is not None else 1.0)
         cfg, grid = self.cfg, self._eta_grid
@@ -510,17 +500,16 @@ class AiseFilter:
 
         # Running residual statistics over every step so far, and the noise levels they
         # give; neither reads what the RLS update changes.
-        res_count = self._res_count + 1
-        delta = z - self._res_mean
-        res_mean = self._res_mean + delta / res_count
-        res_m2 = self._res_m2 + delta * (z - res_mean)
-        s_hat = res_m2 / (res_count - 1) if res_count >= 2 else None
+        delta = z - self.res_mean
+        res_mean = self.res_mean + delta / (self.k + 1)
+        res_m2 = self.res_m2 + delta * (z - res_mean)
+        s_hat = res_m2 / self.k if self.k >= 1 else None
         forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
         eta, v2 = self._noise_levels(s_hat, forecast_var)
         self._innovation_var(v2)  # the one check data_assimilate makes
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
-        self._res_count, self._res_mean, self._res_m2 = res_count, res_mean, res_m2
+        self.res_mean, self.res_m2 = res_mean, res_m2
         self.z_hist[1:] = self.z_hist[:-1]
         self.z_hist[0] = z
         self.eta_k, self.v2_k = eta, v2
@@ -552,7 +541,7 @@ class AiseFilter:
     def to_json(self):
         """Serialize config and full state; restoring continues bit-identically."""
         state = {"version": _CHECKPOINT_VERSION, "config": asdict(self.cfg)}
-        state.update((key, getattr(self, attr)) for key, attr in _CHECKPOINT)
+        state.update((key, getattr(self, key)) for key in _CHECKPOINT)
         return json.dumps(state, default=np.ndarray.tolist)
 
     @classmethod
@@ -560,28 +549,24 @@ class AiseFilter:
         state = json_object(json.loads(payload), "checkpoint")
         version = state.get("version", 1)  # the first format had no version key
         if type(version) is not int or version != _CHECKPOINT_VERSION:
-            raise ValueError(
+            raise CheckpointVersionError(
                 f"unsupported checkpoint version {version!r}, not {_CHECKPOINT_VERSION}")
-        expected = {"version", "config", *(key for key, _ in _CHECKPOINT)}
+        expected = {"version", "config", *_CHECKPOINT}
         missing, unknown = sorted(expected - set(state)), sorted(set(state) - expected)
         if missing or unknown:
             raise ValueError(f"malformed checkpoint: missing {missing}, unknown {unknown}")
         filt = cls(from_fields(AiseConfig, state["config"]))
-        for key, attr in _CHECKPOINT:
+        for key in _CHECKPOINT:
             # One rule for every state value: a JSON number, or nested lists of them, with
             # the shape the fresh filter gives it. Arrays come back as floats.
-            shape, value = np.shape(getattr(filt, attr)), state[key]
+            shape, value = np.shape(getattr(filt, key)), state[key]
             try:
                 array = np.asarray(value)
             except ValueError:  # ragged lists
                 array = np.asarray(None)
             if array.dtype.kind not in "if" or array.shape != shape:
                 raise ValueError(f"malformed checkpoint: {key!r} is not numbers of shape {shape}")
-            setattr(filt, attr, array.astype(float) if array.ndim else value)
-        # A step counts its residual before it counts itself, so res_count >= k.
-        for key in ("k", "res_count"):
-            if type(state[key]) is not int or state[key] < 0:
-                raise ValueError(f"malformed checkpoint: {key!r} is not a non-negative integer")
-        if state["res_count"] < state["k"]:
-            raise ValueError("malformed checkpoint: 'res_count' is smaller than 'k'")
+            setattr(filt, key, array.astype(float) if array.ndim else value)
+        if type(state["k"]) is not int or state["k"] < 0:
+            raise ValueError("malformed checkpoint: 'k' is not a non-negative integer")
         return filt

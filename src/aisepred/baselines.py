@@ -12,6 +12,8 @@ the time and memory of `import aisepred`, and no AISE filter, truth-derivative
 run or `aisepred differentiate` needs it.
 """
 
+import math
+
 import numpy as np
 
 from .integrators import build_integrator
@@ -114,8 +116,8 @@ def _abg_riccati(gamma_index, t_s, tol=1e-12, max_iter=10**6):
     third-order input column B with standard deviation sigma_w such that
     sigma_w * t_s^2 = gamma_index (the tracking-index definition).
     """
-    if gamma_index <= 0:
-        raise ValueError(f"tracking index must be positive, got {gamma_index}")
+    if not 0 < gamma_index < math.inf:  # NaN or inf would iterate max_iter times, then raise
+        raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
     model = build_integrator(3, t_s)
     A, B = model.A, model.B
     Q = (gamma_index / t_s**2) ** 2 * np.outer(B, B)

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if not 0 < self.t_s < float("inf"):
             raise ValueError(f"t_s must be finite and positive, got {self.t_s!r}")
+        if self.sigma is not None and not 0 <= self.sigma < float("inf"):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
         if self.k0 + self.horizon >= self.n_steps:

@@ -11,6 +11,7 @@ values after a numpy upgrade.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ def add_noise(p, sigma, seed):
     The generator is numpy's default_rng seeded with `seed`; identical seeds
     give bit-identical noise. sigma = 0 returns the input unchanged.
     """
-    if sigma < 0:
-        raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"noise standard deviation must be finite and >= 0, got {sigma}")
     p = np.asarray(p, dtype=float)
     if sigma == 0:
         return p.copy()
@@ -143,30 +144,32 @@ def read_timeseries_csv(path_or_file):
         if not header or header[0] != "t" or len(header) < 2:
             raise ValueError(f"CSV header must be 't,<col>[,...]', got {header}")
         names = header[1:]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        rows, lines = [], []  # each data row and the line it ends on; blank rows are skipped
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
                 rows.append([float(x) for x in row])
             except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric field in {row}") from None
+                raise ValueError(f"line {reader.line_num}: non-numeric field in {row}") from None
+            lines.append(reader.line_num)
         if len(rows) < 2:
             raise ValueError("CSV must contain at least two data rows")
         data = np.asarray(rows)
         t = data[:, 0]
         dt = np.diff(t)
-        if not np.all(dt > 0):  # false for a NaN time as well
-            bad = int(np.argmin(dt > 0))
-            raise ValueError(f"line {bad + 3}: time column must be strictly increasing")
-        if np.any(np.abs(dt - dt[0]) > _SPACING_TOL):
-            bad = int(np.argmax(np.abs(dt - dt[0]) > _SPACING_TOL))
-            raise ValueError(
-                f"line {bad + 3}: non-uniform sample spacing "
-                f"({dt[bad]!r} s vs {dt[0]!r} s)"
-            )
+        ok = np.isfinite(t) & np.append(True, dt > 0)  # a NaN or infinite time fails its own row
+        if not ok.all():
+            bad = lines[int(np.argmin(ok))]
+            raise ValueError(f"line {bad}: time column must be strictly increasing")
+        off = np.abs(dt - dt[0]) > _SPACING_TOL
+        if off.any():
+            bad = int(np.argmax(off))
+            raise ValueError(f"line {lines[bad + 1]}: non-uniform sample spacing "
+                             f"({float(dt[bad])} s vs {float(dt[0])} s)")
         return t, {name: data[:, i + 1].copy() for i, name in enumerate(names)}
     finally:
         if close:

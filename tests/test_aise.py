@@ -55,6 +55,13 @@ def test_config_default_parameter_set():
     dict(eta_grid_points=1),
     dict(eta_rule="median"),
     dict(n_f=1),
+    # NaN and infinity fail every range check: r_theta=inf would pin the estimate at 0.0,
+    # and r_d=nan would raise only at step 0.
+    dict(t_s=float("nan")), dict(t_s=float("inf")),
+    dict(r_z=float("inf")), dict(r_d=float("nan")),
+    dict(r_theta=float("inf")), dict(r_inf=float("nan")),
+    dict(eta_u=float("inf")),
+    dict(alpha_vrf=float("nan")), dict(alpha_vrf=float("inf")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -305,58 +312,50 @@ def test_forecast_covariance_propagation():
 # ---------------------------------------------------------------------------
 
 
-def _prepared_filter(s_hat, p_da, **overrides):
-    """Filter forced past warmup with a chosen residual variance and P_da."""
+def _adapted_levels(s_hat, p_da, **overrides):
+    """A filter forced past warmup with P_da, and its noise levels for residual variance s_hat."""
     f = make_filter(**overrides)
     f.k = f.adapt_start
-    f._res_count = 101
-    f._res_m2 = s_hat * 100
     f.P_da = np.atleast_2d(p_da).astype(float)
-    return f
+    return f, f._noise_levels(s_hat, f._forecast_var())
 
 
 def test_adapt_warmup_values():
     f = make_filter()
-    eta, v2 = f.adapt_noise_covariances()
+    eta, v2 = f._noise_levels(None, None)
     assert eta == f.cfg.eta_init
     assert v2 == 1.0  # no residuals yet
-    f._res_count = 5
-    f._res_m2 = 0.8
-    eta, v2 = f.adapt_noise_covariances()
-    assert v2 == pytest.approx(0.2)
+    eta, v2 = f._noise_levels(0.2, None)
+    assert v2 == 0.2
 
 
 def test_adapt_interpolated_grid_example():
     # Two-point grid {0.1, 1.0}: surpluses are {1.4, 0.5}; the 0.55/0.45
     # blend targets 0.905, whose nearest surplus is 0.5 at the upper level.
-    f = _prepared_filter(2.0, 0.5, eta_l=0.1, eta_u=1.0, eta_grid_points=2,
-                         beta=0.55, eta_init=0.5, eta_rule="interpolated")
-    eta, v2 = f.adapt_noise_covariances()
+    _, (eta, v2) = _adapted_levels(2.0, 0.5, eta_l=0.1, eta_u=1.0, eta_grid_points=2,
+                                   beta=0.55, eta_init=0.5, eta_rule="interpolated")
     assert eta == pytest.approx(1.0)
     assert v2 == pytest.approx(0.5)
 
 
 def test_adapt_floor_grid_example():
     # Same setup under the floor rule: smallest admissible level wins.
-    f = _prepared_filter(2.0, 0.5, eta_l=0.1, eta_u=1.0, eta_grid_points=2,
-                         beta=0.55, eta_init=0.5, eta_rule="floor")
-    eta, v2 = f.adapt_noise_covariances()
+    _, (eta, v2) = _adapted_levels(2.0, 0.5, eta_l=0.1, eta_u=1.0, eta_grid_points=2,
+                                   beta=0.55, eta_init=0.5, eta_rule="floor")
     assert eta == pytest.approx(0.1)
     assert v2 == pytest.approx(1.4)
 
 
 def test_adapt_beta_one_targets_min_positive():
-    f = _prepared_filter(2.0, 0.5, eta_l=0.01, eta_u=1.0, eta_grid_points=20,
-                         beta=1.0, eta_init=0.5, eta_rule="interpolated")
-    eta, v2 = f.adapt_noise_covariances()
+    f, (eta, v2) = _adapted_levels(2.0, 0.5, eta_l=0.01, eta_u=1.0, eta_grid_points=20,
+                                   beta=1.0, eta_init=0.5, eta_rule="interpolated")
     surplus = 2.0 - 0.5 - f._eta_grid
     assert v2 == pytest.approx(surplus[surplus > 0].min())
     assert eta == pytest.approx(f._eta_grid[surplus > 0][-1])
 
 
 def test_adapt_all_negative_gives_zero_v2():
-    f = _prepared_filter(0.1, 5.0)  # surplus negative everywhere
-    eta, v2 = f.adapt_noise_covariances()
+    f, (eta, v2) = _adapted_levels(0.1, 5.0)  # surplus negative everywhere
     assert v2 == 0.0
     surplus = 0.1 - 5.0 - f._eta_grid
     assert eta == pytest.approx(f._eta_grid[np.argmin(np.abs(surplus))])
@@ -370,8 +369,7 @@ def test_adapt_minimizer_property(rule):
     for _ in range(50):
         s_hat = rng.uniform(0.001, 3.0)
         p_da = rng.uniform(0.0, 1.0)
-        f = _prepared_filter(s_hat, p_da, eta_rule=rule)
-        eta, v2 = f.adapt_noise_covariances()
+        f, (eta, v2) = _adapted_levels(s_hat, p_da, eta_rule=rule)
         surplus = s_hat - p_da - f._eta_grid
         candidate_v2 = np.where(surplus > 0, surplus, 0.0)
         enumerated = np.abs(surplus - candidate_v2).min()
@@ -381,9 +379,8 @@ def test_adapt_minimizer_property(rule):
         assert v2 >= 0.0
 
 
-def grid_search_reference(f, forecast_var):
-    """The adapted branch of adapt_noise_covariances as a search over the whole grid."""
-    s_hat = f._res_m2 / (f._res_count - 1)
+def grid_search_reference(f, s_hat, forecast_var):
+    """The adapted branch of _noise_levels as a search over the whole grid."""
     surplus = s_hat - forecast_var - f._eta_grid
     positive = surplus > 0.0
     if positive.any():
@@ -435,9 +432,9 @@ def test_adapt_closed_form_matches_grid_search(case):
     # is 0 and c rounded through that sum otherwise.
     cfg, c, forecast_var = case
     f = AiseFilter(cfg)
-    f.k, f._res_count, f._res_m2 = f.adapt_start, 2, c + forecast_var
-    got = f.adapt_noise_covariances(forecast_var)
-    assert got == grid_search_reference(f, forecast_var)
+    f.k, s_hat = f.adapt_start, c + forecast_var
+    got = f._noise_levels(s_hat, forecast_var)
+    assert got == grid_search_reference(f, s_hat, forecast_var)
     assert all(type(value) is float for value in got)
 
 

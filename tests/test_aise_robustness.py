@@ -13,6 +13,7 @@ from scipy.linalg.blas import dgemm
 from aisepred.aise import (
     AiseConfig,
     AiseFilter,
+    CheckpointVersionError,
     InvalidSample,
     NumericalInvariantError,
     benchmark_config,
@@ -280,12 +281,12 @@ def test_restore_at_any_step_continues_bit_identically(order, seed, split):
 # sha256 of to_json() after the first 400 samples of bursty_stream(4, 500),
 # and after a filter restored from that checkpoint takes the last 100.
 PINNED_CHECKPOINTS = {
-    1: ("b59b6440cfaad67f73a1a7a720e45f6793ef5f82b8cb18cc6aa85746531af96d",
-        "ad8ceaf6445e443974eddf8889b49d47e733e440733d4f95c654a8f76dc134f4"),
-    2: ("12efd64a3c27a1deb860255c0ed8e704e9e89c65c489ad4577ebd8f0aa1f4d14",
-        "35f4dffb3ad9c34877c9ed5ca2b1e31910e30b20538ebcdece75ff0f1fc1f60b"),
-    3: ("3f746a17aeb58e3b44b2f46923d8f363fb8ba2f6a07b106a225c1ef59e9c742a",
-        "0dd14ab56769ce06fbd8dc0d72d8249606529fc182136272ce942db7887763d2"),
+    1: ("edc4b538665a88bc098f3a339204585c21c186311a5c808917318469fd682913",
+        "4024575fbbc8b92200dd4efa28a3e3efaa7996cfab2c88f3dcc964aa9264f2a3"),
+    2: ("9cc8677db19a965bbed175672bd8f8a15cce161de356835f3516f244a54a159c",
+        "6091eaa877cc85f60d9eee35544961b1fbe1ab262003f306b77d715a89180e43"),
+    3: ("bdb7ba209678bc58375795c103f0cc8350e8954f756134bf3c7205696aaf8089",
+        "95c5994039f8ddfb6243856d3d812958e62723f0d5a027b7cd73e1d6b3e1d008"),
 }
 
 
@@ -304,8 +305,8 @@ def test_checkpoint_bytes_are_pinned(order):
 
 
 def test_small_window_checkpoint_bytes_are_pinned():
-    # Windows the benchmark tuning never has: z_hist is tau_d = 12 long, longer than
-    # n_e + n_f = 5, and there are 2 closed-loop weight rows. sha256 of to_json() after the
+    # Windows the benchmark tuning never has: z_hist is tau_d - 1 = 11 long, longer than
+    # n_e = 2, and there are 2 closed-loop weight rows. sha256 of to_json() after the
     # first 200 samples of bursty_stream(4, 300), and after a restored filter takes the rest.
     digest = lambda payload: hashlib.sha256(payload.encode()).hexdigest()
     ys = bursty_stream(4, 300)
@@ -317,13 +318,12 @@ def test_small_window_checkpoint_bytes_are_pinned():
     for y in ys[200:]:
         restored.step(y)
     assert (digest(payload), digest(restored.to_json())) == (
-        "329a8710d4f8af644f1c2a9e1f5c5dc9587400c3a7aa43c047c4967483682c22",
-        "0b76319cd22205aaa48df1d7d132536a32c19bce2b848fa52183c054dc391f01")
+        "c40e7fa53d3d88b59958177a2a9a38726680aa327d29caa0c114d9aa234b151f",
+        "22cd2b5875d3819ecc00514b0872daa9f008ced06503fea2c0bd9a546852d727")
 
 
 @pytest.mark.parametrize("edit, key", [
     (lambda state: state.pop("z_hist"), "z_hist"),
-    (lambda state: state.pop("res_count"), "res_count"),
     (lambda state: state.pop("config"), "config"),
     (lambda state: state.update(rls_cov=[]), "rls_cov"),
     (lambda state: state["config"].update(gain=2.0), "gain"),
@@ -334,16 +334,12 @@ def test_small_window_checkpoint_bytes_are_pinned():
     (lambda state: state.update(eta_k=[0.002]), "eta_k"),
     (lambda state: state["phi_hist"][1].pop(), "phi_hist"),
     (lambda state: state["P_sqrt"][0].__setitem__(0, "1.0"), "P_sqrt"),
-    (lambda state: state.update(k=7.5, res_count=2.5), "k"),
-    (lambda state: state.update(res_count=30.0), "res_count"),
+    (lambda state: state.update(k=7.5), "k"),
     (lambda state: state.update(k=True), "k"),
     (lambda state: state.update(k=-1), "k"),
-    (lambda state: state.update(res_count=0), "res_count"),
-    (lambda state: state.update(res_count=29), "res_count"),
-], ids=["missing-z_hist", "missing-res_count", "missing-config", "unknown-key",
-        "unknown-config-field", "short-z_hist", "short-theta", "string-k", "null-res_mean",
-        "list-eta_k", "ragged-phi_hist", "string-in-P_sqrt", "float-counters", "float-res_count",
-        "bool-k", "negative-k", "zero-res_count", "res_count-below-k"])
+], ids=["missing-z_hist", "missing-config", "unknown-key", "unknown-config-field",
+        "short-z_hist", "short-theta", "string-k", "null-res_mean", "list-eta_k",
+        "ragged-phi_hist", "string-in-P_sqrt", "float-k", "bool-k", "negative-k"])
 def test_malformed_checkpoint_is_rejected(edit, key):
     f = AiseFilter(benchmark_config(2))
     for y in bursty_stream(5)[:30]:
@@ -355,19 +351,22 @@ def test_malformed_checkpoint_is_rejected(edit, key):
 
 
 @pytest.mark.parametrize("version, found", [
-    (None, "1"), (1, "1"), (3, "3"), ("2", "'2'"), (2.0, "2.0"), (True, "True")])
+    (None, "1"), (1, "1"), (2, "2"), (4, "4"), ("2", "'2'"), (2.0, "2.0"), ("3", "'3'"),
+    (3.0, "3.0"), (True, "True")])
 def test_unknown_checkpoint_version_is_rejected(version, found):
-    # A checkpoint without a version key is the first format, which held p_inv and prodstack.
+    # A checkpoint without a version key is the first format, which held p_inv and prodstack;
+    # the second also held res_count and longer windows.
     f = AiseFilter(benchmark_config(2))
     for y in bursty_stream(5)[:30]:
         f.step(y)
     state = json.loads(f.to_json())
-    assert state["version"] == 2
+    assert state["version"] == 3
+    assert AiseFilter.from_json(json.dumps(state)).to_json() == f.to_json()
     if version is None:
         del state["version"]
     else:
         state["version"] = version
-    with pytest.raises(ValueError, match=f"unsupported checkpoint version {found},"):
+    with pytest.raises(CheckpointVersionError, match=f"unsupported checkpoint version {found},"):
         AiseFilter.from_json(json.dumps(state))
 
 
@@ -377,7 +376,7 @@ def helix_column(axis, seed, n):
 
 
 # Configs whose every step is pinned: the benchmark orders, an "interpolated" channel,
-# small windows (z_hist longer than n_e + n_f, 2 closed-loop weight rows) and variance
+# small windows (z_hist longer than n_e, 2 closed-loop weight rows) and variance
 # windows of 9 and 40 residuals. Forgetting fires on every one of them.
 STEP_PIN_CONFIGS = {
     "benchmark-o1": benchmark_config(1),
@@ -389,37 +388,49 @@ STEP_PIN_CONFIGS = {
 }
 
 # sha256 over every step of bursty_stream(6, 1200) and the x and z helix columns
-# (seed 8, 1200 samples): the estimate, each field of `last`, and to_json() every 300
-# steps, with the filter replaced by its restored checkpoint at step 600.
+# (seed 8, 1200 samples) of the estimate and each field of `last`, with the filter
+# replaced by its restored checkpoint at step 600. They do not depend on the checkpoint
+# format, so a change to what a checkpoint holds must leave them as they are.
 PINNED_STEPS = {
-    "benchmark-o1": "d7716cfecc67a0404d59dd8dae79429fd01bb91e30bfb8760855be38ed49f222",
-    "benchmark-o2": "13c69d457f3f05bf7df82132156e3aa8ea2d8ad817c421a147bf7641ddd5a46a",
-    "benchmark-o3": "b8c28051b0e310fd55bd869884fa18ebfdef34cca95aa52ca979f8394205ae37",
-    "interpolated-o2": "66d73301002411f01aaaeac807110ac7e2365f0238aef89b2199c29585b75ccd",
-    "small-window-o3": "1436ba71f1f00fa6b3b9aee27caaa8d37724b43fc453d7aafda57c8d21463bec",
-    "long-vrf-o2": "2ab21586dae8b3f3014ee17a48aa53c0a8eb3a9cb951693a63e4fb822aaef8e0",
+    "benchmark-o1": "54eea2a7b0ba59690a79ef3f419ac2a38767d4c6d6c54c9ee642cb27385c1334",
+    "benchmark-o2": "917cf94af86b53915b1bf1445fbbe9b29c77d566447fa77a5d9561c78ad03d2d",
+    "benchmark-o3": "a0225874d073ff2ce5db5b56e14142032cafed5f722709b694a54ad5bc12cc73",
+    "interpolated-o2": "6e9556e88582516267e0215d242048805f89f7d190c8058fe889c106732e4c22",
+    "small-window-o3": "e4f1d1f7380804a0b5ae67b63c931c9ac7dd9690b0c12b9bcd65d7459d3794c4",
+    "long-vrf-o2": "71074f9f69ea0fc7eb1e4b60d88e48097db619c57fdda54915c8c7056a0fb87f",
+}
+
+# sha256 over the to_json() bytes of the same runs, every 300 steps.
+PINNED_STEP_CHECKPOINTS = {
+    "benchmark-o1": "f561bca94c86e143a0458dd9dddebe93cabe0517f8561061f9c13379b6996e46",
+    "benchmark-o2": "bbc8b755a2b860935bb8143bc27e5fce7e5b5344ee6f980ee24b8f038c5c7bb9",
+    "benchmark-o3": "de8653e4bdc3765288d1158b2de6b79c36d7967714acd99a5ca47e7d323add80",
+    "interpolated-o2": "5546fd0d749ff269869799ba678d7544913bfec917ae97e43ba16b5ab8b59f0a",
+    "small-window-o3": "7386a2004312c723a8af5e3974ae5f15f0c4528367f50b3471617b9efecf0fda",
+    "long-vrf-o2": "4f27d21271912e0df9be63659b5a228f121c48fd7655c15fdf548dd17b72fc36",
 }
 
 
 @pytest.mark.parametrize("name", sorted(STEP_PIN_CONFIGS))
 def test_every_step_is_pinned(name):
-    digest, forgetting = hashlib.sha256(), 0
+    values, checkpoints, forgetting = hashlib.sha256(), hashlib.sha256(), 0
     for ys in (bursty_stream(6, 1200), helix_column(0, 8, 1200), helix_column(2, 8, 1200)):
         f = AiseFilter(STEP_PIN_CONFIGS[name])
         for i, y in enumerate(ys):
             estimate, last = f.step(y), f.last
-            values = [estimate, last.k, last.z, last.d_hat, last.dhat_f, last.lam,
+            fields = [estimate, last.k, last.z, last.d_hat, last.dhat_f, last.lam,
                       last.eta, last.v2, last.s_hat, last.forecast_var]
-            digest.update(repr([v if v is None else float(v) for v in values]).encode())
-            digest.update(last.phi.tobytes() + last.phi_f.tobytes())
+            values.update(repr([v if v is None else float(v) for v in fields]).encode())
+            values.update(last.phi.tobytes() + last.phi_f.tobytes())
             forgetting += last.lam < 1.0
             if i % 300 == 299:
                 payload = f.to_json()
-                digest.update(payload.encode())
+                checkpoints.update(payload.encode())
                 if i == 599:
                     f = AiseFilter.from_json(payload)
     assert forgetting > 0
-    assert digest.hexdigest() == PINNED_STEPS[name]
+    assert (values.hexdigest(), checkpoints.hexdigest()) == (
+        PINNED_STEPS[name], PINNED_STEP_CHECKPOINTS[name])
 
 
 class InformationFormRls:

@@ -203,6 +203,13 @@ def test_abg_invalid_tracking_index():
         abg_gains(0.0, 0.01)
 
 
+@pytest.mark.parametrize("gamma_index", [float("nan"), float("inf")])
+def test_abg_non_finite_tracking_index_rejected_at_once(gamma_index):
+    # Before the check, the Riccati iteration ran its 10^6 steps and then raised RuntimeError.
+    with pytest.raises(ValueError, match="tracking index must be finite and positive"):
+        abg_gains(gamma_index, 0.01)
+
+
 # ---------------------------------------------------------------------------
 # Tracker recursion
 # ---------------------------------------------------------------------------

@@ -176,6 +176,13 @@ def test_experiment_repeated_method_is_error(capsys):
     assert "AISE/va is repeated" in capsys.readouterr().err
 
 
+def test_experiment_non_finite_sigma_in_a_config_is_error(tmp_path, capsys):
+    # Python's json reads NaN, and the run would otherwise report NaN RMSE and exit 0.
+    (tmp_path / "cfg.json").write_text('{"sigma": NaN, "truth_derivatives": true}')
+    assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "error: sigma must be finite and >= 0, got nan" in capsys.readouterr().err
+
+
 def test_goldens_regeneration_matches_checked_in(tmp_path):
     out = tmp_path / "goldens.json"
     assert main(["goldens", "--out", str(out)]) == 0

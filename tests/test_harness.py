@@ -111,6 +111,13 @@ def test_config_rejects_a_bad_sample_time_at_construction(t_s):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_config_rejects_a_bad_sigma_at_construction(sigma):
+    # A NaN sigma used to run to the end and report NaN for every RMSE.
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        ExperimentConfig(sigma=sigma, truth_derivatives=True)
+
+
 def test_config_dict_roundtrip():
     cfg = ExperimentConfig(scenario="parabolic", n_steps=400, k0=100, horizon=50,
                            sigma=0.5, seed=3, methods=("aise-va",))

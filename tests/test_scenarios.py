@@ -91,6 +91,12 @@ def test_add_noise_negative_sigma_rejected():
         add_noise(np.zeros(3), -0.1, 0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_add_noise_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        add_noise(np.zeros(3), sigma, 0)
+
+
 def test_timeseries_roundtrip():
     buf = io.StringIO()
     t = np.arange(5) * 0.01
@@ -137,6 +143,19 @@ def test_nan_time_rejected_with_its_line():
     buf = io.StringIO("t,x\n0.0,1\n0.01,1\nnan,1\n0.03,1\n")
     with pytest.raises(ValueError, match="line 4: time column must be strictly increasing"):
         read_timeseries_csv(buf)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n0,1\n\n0.01,1\n0.01,1\n", "line 5: time column must be strictly increasing"),
+    ("t,x\nnan,1\n0.01,1\n0.02,1\n", "line 2: time column must be strictly increasing"),
+    ("t,x\n0.0,1\n0.01,1\n0.03,1\n",
+     "line 4: non-uniform sample spacing (0.019999999999999997 s vs 0.01 s)"),
+], ids=["after-a-blank-row", "nan-in-the-first-row", "spacing-as-plain-floats"])
+def test_time_errors_name_the_line_of_their_row(text, message):
+    # Each data row keeps its own line number, so a skipped blank row shifts nothing.
+    with pytest.raises(ValueError) as error:
+        read_timeseries_csv(io.StringIO(text))
+    assert str(error.value) == message
 
 
 def test_malformed_field_reports_line():
