@@ -14,7 +14,6 @@ from .baselines import AbgFilter, BdbDifferentiator, ButterworthCascade, abg_gai
 from .frenet import (
     DegenerateGeometry,
     FrenetModel,
-    frame_from_derivatives,
     frenet_model,
     fs_predict,
     gamma0,
@@ -25,7 +24,7 @@ from .frenet import (
 from .harness import ExperimentConfig, RmseReport, rmse, run_experiment
 from .integrators import SystemMatrices, build_integrator
 from .prediction import METHODS, DerivativeEstimate, PredictionTrace, predict, va_predict
-from .scenarios import TruthSample, add_noise, helical, parabolic, truth_arrays
+from .scenarios import add_noise, truth_arrays
 
 __all__ = [
     "__version__",
@@ -39,7 +38,6 @@ __all__ = [
     "abg_gains",
     "DegenerateGeometry",
     "FrenetModel",
-    "frame_from_derivatives",
     "frenet_model",
     "fs_predict",
     "gamma0",
@@ -57,9 +55,6 @@ __all__ = [
     "PredictionTrace",
     "predict",
     "va_predict",
-    "TruthSample",
     "add_noise",
-    "helical",
-    "parabolic",
     "truth_arrays",
 ]

@@ -27,6 +27,20 @@ __all__ = [
 ]
 
 
+def check_butterworth_design(order, cutoff):
+    """Raise ValueError unless order is a positive even integer and cutoff lies in (0, pi)."""
+    if order < 2 or order % 2 != 0:
+        raise ValueError(f"Butterworth order must be a positive even integer, got {order}")
+    if not 0.0 < cutoff < np.pi:
+        raise ValueError(f"Butterworth cutoff must be in (0, pi) rad/step, got {cutoff}")
+
+
+def check_tracking_index(gamma_index):
+    """Raise ValueError unless the tracking index is finite and positive."""
+    if not 0 < gamma_index < math.inf:  # NaN or inf would run the Riccati iteration out
+        raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
+
+
 class ButterworthCascade:
     """Causal low-pass Butterworth filter as streaming second-order sections.
 
@@ -36,22 +50,13 @@ class ButterworthCascade:
     """
 
     def __init__(self, order=10, cutoff=0.8 * np.pi):
-        if order < 2 or order % 2 != 0:
-            raise ValueError(f"order must be a positive even integer, got {order}")
-        if not 0.0 < cutoff < np.pi:
-            raise ValueError(f"cutoff must be in (0, pi) rad/step, got {cutoff}")
+        check_butterworth_design(order, cutoff)
         from scipy.signal import butter, sosfilt, sosfilt_zi
 
-        self.order = order
-        self.cutoff = float(cutoff)
         self.sections = butter(order, cutoff / np.pi, btype="low", output="sos")
         self._zi_unit = sosfilt_zi(self.sections)
         self._sosfilt = sosfilt
         self._zi = None
-
-    def step(self, x):
-        """Filter one sample."""
-        return float(self.filter([x])[0])
 
     def filter(self, xs):
         """Filter a whole stream in one call; equals filtering it sample by sample, bit for bit."""
@@ -116,8 +121,7 @@ def _abg_riccati(gamma_index, t_s, tol=1e-12, max_iter=10**6):
     third-order input column B with standard deviation sigma_w such that
     sigma_w * t_s^2 = gamma_index (the tracking-index definition).
     """
-    if not 0 < gamma_index < math.inf:  # NaN or inf would iterate max_iter times, then raise
-        raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
+    check_tracking_index(gamma_index)
     model = build_integrator(3, t_s)
     A, B = model.A, model.B
     Q = (gamma_index / t_s**2) ** 2 * np.outer(B, B)
@@ -167,7 +171,6 @@ class AbgFilter:
 
     def __init__(self, gamma_index, t_s):
         self.t_s = float(t_s)
-        self.gamma_index = float(gamma_index)
         self.alpha, self.beta, self.gamma = abg_gains(gamma_index, t_s)
         eigs = abg_error_dynamics_eigenvalues(self.alpha, self.beta, self.gamma, t_s)
         if np.max(np.abs(eigs)) >= 1.0:

@@ -15,7 +15,6 @@ __all__ = [
     "DegenerateGeometry",
     "FrenetModel",
     "hat",
-    "frame_from_derivatives",
     "scalar_params",
     "frenet_model",
     "gamma0",
@@ -86,23 +85,8 @@ def _check_nondegenerate(v, a):
     return speed, cross, cross_norm
 
 
-def _frame(v, a, speed, cross, cross_norm):
-    return v / speed, _cross(v, _cross(a, v)) / (speed * cross_norm), cross / cross_norm
-
-
 def _scalars(v, a, j, speed, cross, cross_norm):
     return speed, cross_norm / speed**3, float(v @ _cross(a, j)) / cross_norm**2
-
-
-def frame_from_derivatives(v, a):
-    """Unit tangent, normal, and binormal from velocity and acceleration.
-
-    Returns a right-handed orthonormal triple (T, N, B). Raises
-    DegenerateGeometry when the speed or the curvature direction is not
-    resolvable (straight-line or stationary motion).
-    """
-    v, a = (np.asarray(x, dtype=float) for x in (v, a))
-    return _frame(v, a, *_check_nondegenerate(v, a))
 
 
 def scalar_params(v, a, j):
@@ -114,9 +98,10 @@ def scalar_params(v, a, j):
 def frenet_model(v, a, j):
     """Assemble the full FrenetModel from derivative estimates at one step."""
     v, a, j = (np.asarray(x, dtype=float) for x in (v, a, j))
-    checked = _check_nondegenerate(v, a)
-    speed, curvature, torsion = _scalars(v, a, j, *checked)
-    R = np.column_stack(_frame(v, a, *checked))
+    checked = speed, cross, cross_norm = _check_nondegenerate(v, a)
+    _, curvature, torsion = _scalars(v, a, j, *checked)
+    R = np.column_stack([v / speed, _cross(v, _cross(a, v)) / (speed * cross_norm),
+                         cross / cross_norm])
     omega = np.array([speed * torsion, 0.0, speed * curvature])
     return FrenetModel(R=R, u=speed, kappa_t=curvature, tau_t=torsion, omega=omega)
 

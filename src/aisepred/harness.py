@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
-from .baselines import AbgFilter, BdbDifferentiator
+from .baselines import AbgFilter, BdbDifferentiator, check_butterworth_design, check_tracking_index
 from .frenet import DegenerateGeometry, scalar_params
 from .prediction import METHODS, DerivativeEstimate, predict
 from .scenarios import SCENARIOS, add_noise, format_csv_lines, read_positions_csv, truth_arrays
@@ -120,6 +120,8 @@ class ExperimentConfig:
             )
         if self.scenario.startswith("csv:") and self.truth_derivatives:
             raise ValueError("truth-derivative injection requires an analytic scenario")
+        check_butterworth_design(self.butterworth_order, self.butterworth_cutoff)
+        check_tracking_index(self.tracking_index)
 
     def resolved_sigma(self):
         if self.sigma is not None:
@@ -152,11 +154,15 @@ def rmse(truth_positions, traces, horizon, k0, form="standard"):
     truth_positions has one row per step 0..N; traces is the collection of
     prediction traces for one method, holding every anchor in [k0, N - horizon]
     exactly once, each at least `horizon` positions long (ValueError naming the
-    anchor step otherwise). The endpoint errors go through _rms_of_errors, the
-    reduction run_experiment applies to the errors it collects as it predicts.
+    anchor step otherwise, or k0 and horizon if the range is empty or horizon < 1).
+    The endpoint errors go through _rms_of_errors, the reduction run_experiment
+    applies to the errors it collects as it predicts.
     """
     truth_positions = np.asarray(truth_positions, dtype=float)
     n_last = len(truth_positions) - 1
+    if horizon < 1 or k0 > n_last - horizon:
+        raise ValueError(f"no anchor to score: k0 {k0} with horizon {horizon} "
+                         f"on {n_last + 1} truth rows")
     by_anchor = {}
     for tr in traces:
         if tr.anchor_step in by_anchor:

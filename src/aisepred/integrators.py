@@ -18,11 +18,10 @@ class SystemMatrices:
     """State-space matrices (A, B, C) of a discrete integrator chain.
 
     State ordering is (signal, first derivative, ..., highest derivative), so
-    C = [1, 0, ..., 0] always selects the signal component. Immutable; safe to
-    share across threads.
+    C = [1, 0, ..., 0] always selects the signal component; n is the chain's
+    order. Immutable; safe to share across threads.
     """
 
-    order: int
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
@@ -46,12 +45,11 @@ def build_integrator(order, t_s):
     if not t_s > 0:
         raise ValueError(f"sample time must be positive, got {t_s!r}")
 
-    n = order
-    A = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
+    A = np.eye(order)
+    for i in range(order):
+        for j in range(i + 1, order):
             A[i, j] = t_s ** (j - i) / factorial(j - i)
-    B = np.array([t_s ** (n - i) / factorial(n - i) for i in range(n)])
-    C = np.zeros(n)
+    B = np.array([t_s ** (order - i) / factorial(order - i) for i in range(order)])
+    C = np.zeros(order)
     C[0] = 1.0
-    return SystemMatrices(order=order, A=A, B=B, C=C, t_s=float(t_s), n=n)
+    return SystemMatrices(A=A, B=B, C=C, t_s=float(t_s), n=order)

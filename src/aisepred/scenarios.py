@@ -12,15 +12,11 @@ values after a numpy upgrade.
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SCENARIOS",
-    "TruthSample",
-    "parabolic",
-    "helical",
     "truth_arrays",
     "add_noise",
     "read_timeseries_csv",
@@ -35,18 +31,6 @@ _LAUNCH_SPEED = 400.0   # m/s along each planar axis
 _HELIX_RADIUS = 20.0    # m
 _HELIX_RATE = 0.5       # rad/s
 _HELIX_CLIMB = 1.0      # m/s
-
-
-@dataclass(frozen=True)
-class TruthSample:
-    """Exact position and its first three derivatives at step k."""
-
-    k: int
-    t: float
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    j: np.ndarray
 
 
 def _parabolic_state(t):
@@ -74,28 +58,12 @@ def _helical_state(t):
 _STATE_FNS = {"parabolic": _parabolic_state, "helical": _helical_state}
 
 
-def _sample(scenario, k, t_s):
-    if k < 0:
-        raise ValueError(f"step index must be >= 0, got {k}")
-    t = k * t_s
-    p, v, a, j = _STATE_FNS[scenario](t)
-    return TruthSample(k=k, t=t, p=p, v=v, a=a, j=j)
-
-
-def parabolic(k, t_s):
-    """Planar constant-gravity trajectory sample at step k."""
-    return _sample("parabolic", k, t_s)
-
-
-def helical(k, t_s):
-    """Constant-rate helix sample at step k."""
-    return _sample("helical", k, t_s)
-
-
 def truth_arrays(scenario, last_step, t_s):
-    """Vectorized truth for steps 0..last_step: arrays (P, V, A, J), each (last_step+1, 3)."""
+    """Exact truth at t = k * t_s, k = 0..last_step: arrays (P, V, A, J), each (last_step+1, 3)."""
     if scenario not in _STATE_FNS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    if last_step < 0:
+        raise ValueError(f"last step must be >= 0, got {last_step}")
     t = np.arange(last_step + 1) * t_s
     return _STATE_FNS[scenario](t)
 

@@ -112,10 +112,10 @@ def bursty_positions(n, seed=0):
     return 5.0 * np.cos(2.0 * t) + noise
 
 
-def test_butterworth_filter_equals_step():
+def test_butterworth_filter_in_chunks_equals_sample_by_sample():
     x = bursty_positions(300)
     stepped = ButterworthCascade()
-    expected = [stepped.step(v) for v in x]
+    expected = np.concatenate([stepped.filter([v]) for v in x])
     whole = ButterworthCascade()
     np.testing.assert_array_equal(whole.filter(x[:100]), expected[:100])
     np.testing.assert_array_equal(whole.filter(x[100:]), expected[100:])

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aisepred import harness
 from aisepred.aise import AiseFilter, benchmark_config
 from aisepred.baselines import AbgFilter, BdbDifferentiator
 from aisepred.cli import main
@@ -181,6 +182,18 @@ def test_experiment_non_finite_sigma_in_a_config_is_error(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text('{"sigma": NaN, "truth_derivatives": true}')
     assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
     assert "error: sigma must be finite and >= 0, got nan" in capsys.readouterr().err
+
+
+def test_experiment_bad_tracking_index_in_a_config_is_error_before_any_estimate(
+        tmp_path, capsys, monkeypatch):
+    # The index was checked only when estimate() built the ABG baseline, after every AISE channel.
+    def estimate(*args, **kwargs):
+        raise AssertionError("estimate() ran on a config that should have been refused")
+
+    monkeypatch.setattr(harness, "estimate", estimate)
+    (tmp_path / "cfg.json").write_text('{"tracking_index": -1}')
+    assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "error: tracking index must be finite and positive, got -1" in capsys.readouterr().err
 
 
 def test_goldens_regeneration_matches_checked_in(tmp_path):

@@ -7,7 +7,6 @@ from aisepred.frenet import (
     DegenerateGeometry,
     _cross,
     _norm,
-    frame_from_derivatives,
     frenet_model,
     fs_predict,
     gamma0,
@@ -16,7 +15,12 @@ from aisepred.frenet import (
     scalar_params,
 )
 from aisepred.oracles import series_rotation_exp, simpson_rotation_integral
-from aisepred.scenarios import helical
+from aisepred.scenarios import truth_arrays
+
+
+def helix_at(k, t_s=0.01):
+    """(p, v, a, j) of the helix at step k."""
+    return [x[k] for x in truth_arrays("helical", k, t_s)]
 
 
 def test_hat_zero():
@@ -34,15 +38,15 @@ def test_hat_cross_product_identity():
 
 
 def test_frame_axis_aligned_circle():
-    t_vec, n_vec, b_vec = frame_from_derivatives([1, 0, 0], [0, 1, 0])
+    t_vec, n_vec, b_vec = frenet_model([1, 0, 0], [0, 1, 0], [0, 0, 0]).R.T
     np.testing.assert_allclose(t_vec, [1, 0, 0])
     np.testing.assert_allclose(n_vec, [0, 1, 0])
     np.testing.assert_allclose(b_vec, [0, 0, 1])
 
 
 def test_frame_orthonormal_on_helix():
-    s = helical(0, 0.01)
-    t_vec, n_vec, b_vec = frame_from_derivatives(s.v, s.a)
+    _, v, a, j = helix_at(0)
+    t_vec, n_vec, b_vec = frenet_model(v, a, j).R.T
     for u in (t_vec, n_vec, b_vec):
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
     assert abs(b_vec @ t_vec) < 1e-12
@@ -52,14 +56,14 @@ def test_frame_orthonormal_on_helix():
 
 def test_frame_degenerate_when_parallel():
     with pytest.raises(DegenerateGeometry):
-        frame_from_derivatives([1, 2, 3], [2, 4, 6])
+        frenet_model([1, 2, 3], [2, 4, 6], [0, 0, 0])
     with pytest.raises(DegenerateGeometry):
-        frame_from_derivatives([0, 0, 0], [1, 0, 0])
+        frenet_model([0, 0, 0], [1, 0, 0], [0, 0, 0])
 
 
 def test_helix_scalar_params():
-    s = helical(0, 0.01)
-    u, kappa, tau = scalar_params(s.v, s.a, s.j)
+    _, v, a, j = helix_at(0)
+    u, kappa, tau = scalar_params(v, a, j)
     assert u == pytest.approx(np.sqrt(101.0), abs=1e-12)
     assert kappa == pytest.approx(5.0 / 101.0, abs=1e-12)
     assert tau == pytest.approx(-0.5 / 101.0, abs=1e-12)
@@ -91,23 +95,21 @@ def test_planar_motion_has_zero_torsion():
 def test_scaling_behavior():
     # Scaling all derivatives by c leaves the frame fixed, scales the speed
     # by c, the curvature/torsion by 1/c, and leaves the turning rates fixed.
-    s = helical(7, 0.01)
+    _, v, a, j = helix_at(7)
     c = 3.7
-    u1, k1, t1 = scalar_params(s.v, s.a, s.j)
-    u2, k2, t2 = scalar_params(c * s.v, c * s.a, c * s.j)
+    u1, k1, t1 = scalar_params(v, a, j)
+    u2, k2, t2 = scalar_params(c * v, c * a, c * j)
     assert u2 == pytest.approx(c * u1, rel=1e-12)
     assert k2 == pytest.approx(k1 / c, rel=1e-12)
     assert t2 == pytest.approx(t1 / c, rel=1e-12)
     assert u2 * k2 == pytest.approx(u1 * k1, rel=1e-12)
-    f1 = frame_from_derivatives(s.v, s.a)
-    f2 = frame_from_derivatives(c * s.v, c * s.a)
-    for a_vec, b_vec in zip(f1, f2):
-        np.testing.assert_allclose(a_vec, b_vec, atol=1e-12)
+    R1 = frenet_model(v, a, j).R
+    R2 = frenet_model(c * v, c * a, c * j).R
+    np.testing.assert_allclose(R1, R2, atol=1e-12)
 
 
 def test_omega_matches_frenet_coefficient_matrix():
-    s = helical(0, 0.01)
-    model = frenet_model(s.v, s.a, s.j)
+    model = frenet_model(*helix_at(0)[1:])
     kappa = model.u * model.kappa_t
     tau = model.u * model.tau_t
     expected = np.array([
@@ -120,8 +122,7 @@ def test_omega_matches_frenet_coefficient_matrix():
 
 
 def test_frenet_model_rotation_invariants():
-    s = helical(123, 0.01)
-    model = frenet_model(s.v, s.a, s.j)
+    model = frenet_model(*helix_at(123)[1:])
     np.testing.assert_allclose(model.R.T @ model.R, np.eye(3), atol=1e-10)
     assert np.linalg.det(model.R) == pytest.approx(1.0, abs=1e-10)
 
@@ -216,20 +217,19 @@ def test_fs_predict_exact_on_circle():
 
 def test_fs_predict_exact_on_helix():
     t_s = 0.01
-    s = helical(0, t_s)
-    model = frenet_model(s.v, s.a, s.j)
-    traj = fs_predict(s.p, model, 100, t_s)
+    P, V, A, J = truth_arrays("helical", 100, t_s)
+    model = frenet_model(V[0], A[0], J[0])
+    traj = fs_predict(P[0], model, 100, t_s)
     for l in (1, 25, 100):
-        truth = helical(l, t_s)
-        assert np.linalg.norm(traj[l - 1] - truth.p) < 1e-6
+        assert np.linalg.norm(traj[l - 1] - P[l]) < 1e-6
 
 
 def test_fs_predict_single_step_matches_one_step_update():
     t_s = 0.01
-    s = helical(5, t_s)
-    model = frenet_model(s.v, s.a, s.j)
-    traj = fs_predict(s.p, model, 1, t_s)
-    expected = s.p + t_s * model.R @ gamma1(model.omega * t_s) @ np.array([model.u, 0, 0])
+    p, v, a, j = helix_at(5, t_s)
+    model = frenet_model(v, a, j)
+    traj = fs_predict(p, model, 1, t_s)
+    expected = p + t_s * model.R @ gamma1(model.omega * t_s) @ np.array([model.u, 0, 0])
     np.testing.assert_array_equal(traj[0], expected)
 
 

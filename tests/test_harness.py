@@ -82,6 +82,19 @@ def test_rmse_repeated_anchor_reported():
         rmse(truth, traces, 10, 20)
 
 
+@pytest.mark.parametrize("k0, horizon", [(91, 10), (95, 10), (20, 0)],
+                         ids=["one-past-the-last-anchor", "far-past-it", "horizon-0"])
+def test_rmse_refuses_an_empty_anchor_range_or_a_horizon_below_one(k0, horizon):
+    # These gave NaN with a RuntimeWarning, numpy's "negative dimensions" error, and a
+    # score of each trace's last position.
+    truth = np.zeros((101, 3))
+    traces = make_traces(truth, 10, 20)
+    with pytest.raises(ValueError) as error:
+        rmse(truth, traces, horizon, k0)
+    assert str(error.value) == (f"no anchor to score: k0 {k0} with horizon {horizon} "
+                                "on 101 truth rows")
+
+
 def test_normalize_method():
     assert normalize_method("aise-fs") == "AISE/FS"
     assert normalize_method("AISE/va") == "AISE/va"
@@ -116,6 +129,27 @@ def test_config_rejects_a_bad_sigma_at_construction(sigma):
     # A NaN sigma used to run to the end and report NaN for every RMSE.
     with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
         ExperimentConfig(sigma=sigma, truth_derivatives=True)
+
+
+_BASELINE_RULES = {
+    "tracking_index": "tracking index must be finite and positive",
+    "butterworth_order": "Butterworth order must be a positive even integer",
+    "butterworth_cutoff": "Butterworth cutoff must be in (0, pi) rad/step",
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tracking_index", -1), ("tracking_index", 0.0), ("tracking_index", float("nan")),
+    ("tracking_index", float("inf")), ("butterworth_order", 3), ("butterworth_order", 0),
+    ("butterworth_cutoff", 4.0), ("butterworth_cutoff", 0.0), ("butterworth_cutoff", float("nan")),
+])
+def test_config_rejects_a_bad_baseline_field_at_construction(field, value):
+    # These failed only once estimate() built the baseline, after every AISE channel had run;
+    # a config whose methods build no baseline is refused too.
+    for methods in (("BDB/va", "ABG/va"), ("AISE/va",)):
+        with pytest.raises(ValueError) as error:
+            ExperimentConfig(methods=methods, **{field: value})
+        assert str(error.value) == f"{_BASELINE_RULES[field]}, got {value}"
 
 
 def test_config_dict_roundtrip():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisepred.prediction import METHODS, DerivativeEstimate, PredictionTrace, predict, va_predict
-from aisepred.scenarios import helical, parabolic
+from aisepred.scenarios import truth_arrays
 
 
 def test_va_zero_derivatives_is_constant():
@@ -19,12 +19,11 @@ def test_va_unit_velocity():
 
 def test_va_exact_on_parabola():
     t_s = 0.01
+    P, V, A, _ = truth_arrays("parabolic", 3100, t_s)
     for k in (0, 500, 3000):
-        s = parabolic(k, t_s)
-        tr = va_predict(s.p, s.v, s.a, 100, t_s, anchor_step=k)
+        tr = va_predict(P[k], V[k], A[k], 100, t_s, anchor_step=k)
         for l in (1, 50, 100):
-            truth = parabolic(k + l, t_s)
-            assert np.linalg.norm(tr.positions[l - 1] - truth.p) < 1e-9
+            assert np.linalg.norm(tr.positions[l - 1] - P[k + l]) < 1e-9
 
 
 def test_invalid_horizon_rejected():
@@ -45,10 +44,10 @@ def test_dispatch_unknown_method():
 
 
 def test_dispatch_va_identity():
-    s = helical(0, 0.01)
-    est = DerivativeEstimate(v=s.v, a=s.a)
-    tr1 = predict("AISE/va", s.p, est, 20, 0.01, anchor_step=3)
-    tr2 = va_predict(s.p, s.v, s.a, 20, 0.01, anchor_step=3)
+    p, v, a, _ = (x[0] for x in truth_arrays("helical", 0, 0.01))
+    est = DerivativeEstimate(v=v, a=a)
+    tr1 = predict("AISE/va", p, est, 20, 0.01, anchor_step=3)
+    tr2 = va_predict(p, v, a, 20, 0.01, anchor_step=3)
     np.testing.assert_array_equal(tr1.positions, tr2.positions)
     assert tr1.method == "AISE/va"
     assert not tr1.fallback_used
@@ -73,21 +72,20 @@ def test_fs_fallback_on_straight_line():
 
 def test_fs_exact_on_helix_through_dispatch():
     t_s = 0.01
-    s = helical(0, t_s)
-    est = DerivativeEstimate(v=s.v, a=s.a, j=s.j)
-    tr = predict("AISE/FS", s.p, est, 100, t_s)
+    P, V, A, J = truth_arrays("helical", 100, t_s)
+    est = DerivativeEstimate(v=V[0], a=A[0], j=J[0])
+    tr = predict("AISE/FS", P[0], est, 100, t_s)
     assert not tr.fallback_used
-    truth = helical(100, t_s)
-    assert np.linalg.norm(tr.positions[99] - truth.p) < 1e-6
+    assert np.linalg.norm(tr.positions[99] - P[100]) < 1e-6
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_prefix_consistency(method):
     t_s = 0.01
-    s = helical(10, t_s)
-    est = DerivativeEstimate(v=s.v, a=s.a, j=s.j)
-    full = predict(method, s.p, est, 100, t_s)
-    short = predict(method, s.p, est, 30, t_s)
+    p, v, a, j = (x[10] for x in truth_arrays("helical", 10, t_s))
+    est = DerivativeEstimate(v=v, a=a, j=j)
+    full = predict(method, p, est, 100, t_s)
+    short = predict(method, p, est, 30, t_s)
     np.testing.assert_array_equal(short.positions, full.positions[:30])
 
 

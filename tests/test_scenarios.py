@@ -6,8 +6,6 @@ import pytest
 from aisepred.scenarios import (
     add_noise,
     format_csv_lines,
-    helical,
-    parabolic,
     read_positions_csv,
     read_timeseries_csv,
     truth_arrays,
@@ -17,17 +15,17 @@ from aisepred.scenarios import _helical_state, _parabolic_state
 
 
 def test_parabolic_launch_state():
-    s = parabolic(0, 0.01)
-    np.testing.assert_allclose(s.p, [0, 0, 0])
-    np.testing.assert_allclose(s.v, [400, 400, 0])
-    np.testing.assert_allclose(s.a, [0, -9.8, 0])
-    np.testing.assert_allclose(s.j, [0, 0, 0])
+    p, v, a, j = (x[0] for x in truth_arrays("parabolic", 0, 0.01))
+    np.testing.assert_allclose(p, [0, 0, 0])
+    np.testing.assert_allclose(v, [400, 400, 0])
+    np.testing.assert_allclose(a, [0, -9.8, 0])
+    np.testing.assert_allclose(j, [0, 0, 0])
 
 
 def test_parabolic_sample_value():
-    s = parabolic(100, 0.01)
-    np.testing.assert_allclose(s.p, [400.0, 400.0 - 4.9, 0.0])
-    assert s.t == pytest.approx(1.0)
+    # Row 100 at t_s = 0.01 is the state at t = 1 s.
+    P = truth_arrays("parabolic", 100, 0.01)[0]
+    np.testing.assert_allclose(P[100], [400.0, 400.0 - 4.9, 0.0])
 
 
 def test_parabolic_zero_jerk_everywhere():
@@ -36,9 +34,20 @@ def test_parabolic_zero_jerk_everywhere():
 
 
 def test_helical_initial_state():
-    s = helical(0, 0.01)
-    np.testing.assert_allclose(s.p, [0, 20, 0])
-    np.testing.assert_allclose(s.v, [10, 0, 1])
+    P, V, _, _ = truth_arrays("helical", 0, 0.01)
+    assert P.shape == V.shape == (1, 3)
+    np.testing.assert_allclose(P[0], [0, 20, 0])
+    np.testing.assert_allclose(V[0], [10, 0, 1])
+
+
+@pytest.mark.parametrize("scenario, state_fn",
+                         [("parabolic", _parabolic_state), ("helical", _helical_state)])
+def test_truth_rows_are_the_state_at_their_own_time(scenario, state_fn):
+    # Row k holds the bits of the state at t = k * t_s, evaluated on its own.
+    rows = truth_arrays(scenario, 600, 0.01)
+    for k in (0, 1, 7, 123, 600):
+        for row, exact in zip(rows, state_fn(k * 0.01)):
+            assert row[k].tobytes() == exact.tobytes()
 
 
 def test_helical_constant_speed_and_orthogonality():
@@ -61,8 +70,8 @@ def test_derivatives_match_finite_differences(state_fn):
 
 
 def test_negative_step_rejected():
-    with pytest.raises(ValueError):
-        parabolic(-1, 0.01)
+    with pytest.raises(ValueError, match="last step must be >= 0, got -1"):
+        truth_arrays("parabolic", -1, 0.01)
 
 
 def test_add_noise_zero_sigma_is_identity():
