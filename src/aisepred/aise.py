@@ -201,25 +201,6 @@ def f_critical(dfn, dfd, quantile=0.99):
     return dfd * w / (dfn * (1.0 - w))
 
 
-def _add_reduce(x):
-    """sum(x) with the bits of np.add.reduce on a float64 array: 0.0 plus numpy's pairwise sum."""
-    n = len(x)
-    if n > 128:  # numpy splits a long run in two at a multiple of 8
-        half = n // 2 - n // 2 % 8
-        return _add_reduce(x[:half]) + _add_reduce(x[half:])
-    total, end = 0.0, n - n % 8
-    if end:  # 8 accumulators, then the tail; a run shorter than 8 is summed in order
-        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
-        for i in range(8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = x[i : i + 8]
-            r0, r1, r2, r3, r4, r5, r6, r7 = (
-                r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7)
-        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in x[end:]:
-        total += v
-    return total
-
-
 def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     """Forgetting factor from a one-sided variance-ratio test on the residuals.
 
@@ -232,13 +213,13 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     """
     if len(z_history) < tau_d:
         return 1.0
-    # np.var(ddof=1) in scalar arithmetic, summed in numpy's order.
+    # np.var(ddof=1) in scalar arithmetic, with sum() in place of numpy's pairwise sum.
     z_n, z_d = z_history[-tau_n:], z_history[-tau_d:]
-    mean_n, mean_d = _add_reduce(z_n) / tau_n, _add_reduce(z_d) / tau_d
-    var_d = _add_reduce([(v - mean_d) * (v - mean_d) for v in z_d]) / (tau_d - 1)
+    mean_n, mean_d = sum(z_n) / tau_n, sum(z_d) / tau_d
+    var_d = sum([(v - mean_d) * (v - mean_d) for v in z_d]) / (tau_d - 1)
     if var_d <= 0.0:
         return 1.0
-    ratio = _add_reduce([(v - mean_n) * (v - mean_n) for v in z_n]) / (tau_n - 1) / var_d
+    ratio = sum([(v - mean_n) * (v - mean_n) for v in z_n]) / (tau_n - 1) / var_d
     if f_crit is None:
         f_crit = f_critical(tau_n - 1, tau_d - 1)
     if ratio > f_crit:
@@ -305,7 +286,7 @@ class AiseFilter:
 
     @property
     def P_sqrt(self):
-        """The stored RLS state S, a square root of the covariance: P_rls = S S^T."""
+        """The stored RLS state S, a square root of the coefficient covariance S S^T."""
         return self._p_sqrt
 
     @P_sqrt.setter
@@ -314,13 +295,8 @@ class AiseFilter:
         self._s_spare = np.empty_like(self._p_sqrt)  # scratch, not state: the next P_sqrt
 
     @property
-    def P_rls(self):
-        """RLS coefficient covariance S S^T, symmetric and semi-definite by construction."""
-        return self._p_sqrt @ self._p_sqrt.T
-
-    @property
     def p_inv(self):
-        """RLS information matrix, inv(P_rls). Assigning one sets P_sqrt = L^-T for its
+        """RLS information matrix, inv(S S^T). Assigning one sets P_sqrt = L^-T for its
         Cholesky factor L; one that is not positive definite raises and changes nothing."""
         s_inv = np.linalg.inv(self._p_sqrt)
         return s_inv.T @ s_inv

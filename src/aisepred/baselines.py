@@ -15,6 +15,7 @@ run or `aisepred differentiate` needs it.
 import math
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .integrators import build_integrator
 
@@ -37,7 +38,7 @@ def check_butterworth_design(order, cutoff):
 
 def check_tracking_index(gamma_index):
     """Raise ValueError unless the tracking index is finite and positive."""
-    if not 0 < gamma_index < math.inf:  # NaN or inf would run the Riccati iteration out
+    if not 0 < gamma_index < math.inf:  # NaN or inf has no Riccati solution
         raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
 
 
@@ -67,15 +68,6 @@ class ButterworthCascade:
             self._zi = self._zi_unit * xs[0]
         ys, self._zi = self._sosfilt(self.sections, xs, zi=self._zi)
         return ys
-
-    def frequency_response(self, w):
-        """Complex response H(e^{jw}) evaluated directly from the section coefficients."""
-        w = np.asarray(w, dtype=float)
-        zinv = np.exp(-1j * w)
-        H = np.ones_like(zinv, dtype=complex)
-        for b0, b1, b2, a0, a1, a2 in self.sections:
-            H *= (b0 + b1 * zinv + b2 * zinv**2) / (a0 + a1 * zinv + a2 * zinv**2)
-        return H
 
 
 class BdbDifferentiator:
@@ -114,35 +106,19 @@ class BdbDifferentiator:
         return v, a, y
 
 
-def _abg_riccati(gamma_index, t_s, tol=1e-12, max_iter=10**6):
-    """Converged predicted covariance of the constant-acceleration filtering problem.
+def abg_gains(gamma_index, t_s):
+    """Steady-state (alpha, beta, gamma) gains for the given tracking index.
 
-    Measurement noise variance is 1; process noise enters through the
-    third-order input column B with standard deviation sigma_w such that
-    sigma_w * t_s^2 = gamma_index (the tracking-index definition).
+    The predicted covariance solves the discrete algebraic Riccati equation of
+    the constant-acceleration model. Measurement noise variance is 1; process
+    noise enters through the third-order input column B with standard deviation
+    sigma_w such that sigma_w * t_s^2 = gamma_index (the tracking-index definition).
     """
     check_tracking_index(gamma_index)
     model = build_integrator(3, t_s)
-    A, B = model.A, model.B
-    Q = (gamma_index / t_s**2) ** 2 * np.outer(B, B)
-    P = np.eye(3)
-    P_pred = A @ P @ A.T + Q
-    for _ in range(max_iter):
-        K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
-        P = P_pred - np.outer(K, P_pred[0, :])
-        P = 0.5 * (P + P.T)
-        P_pred_next = A @ P @ A.T + Q
-        if np.max(np.abs(P_pred_next - P_pred)) < tol:
-            return P_pred_next
-        P_pred = P_pred_next
-    raise RuntimeError(
-        f"steady-state covariance iteration did not converge for tracking index {gamma_index}"
-    )
-
-
-def abg_gains(gamma_index, t_s):
-    """Steady-state (alpha, beta, gamma) gains for the given tracking index."""
-    P_pred = _abg_riccati(gamma_index, t_s)
+    Q = (gamma_index / t_s**2) ** 2 * np.outer(model.B, model.B)
+    C = np.array([[1.0, 0.0, 0.0]])  # the position is measured
+    P_pred = solve_discrete_are(model.A.T, C.T, Q, np.ones((1, 1)))
     K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
     return float(K[0]), float(K[1] * t_s), float(K[2] * t_s**2 / 2.0)
 

@@ -15,30 +15,27 @@ __all__ = ["SystemMatrices", "build_integrator"]
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """State-space matrices (A, B, C) of a discrete integrator chain.
+    """State-space matrices (A, B) of a discrete integrator chain.
 
     State ordering is (signal, first derivative, ..., highest derivative), so
-    C = [1, 0, ..., 0] always selects the signal component; n is the chain's
-    order. Immutable; safe to share across threads.
+    the measurement reads the first state; n is the chain's order. Immutable;
+    safe to share across threads.
     """
 
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
-    C: np.ndarray = field(repr=False)
-    t_s: float
     n: int
 
     def __post_init__(self):
         self.A.setflags(write=False)
         self.B.setflags(write=False)
-        self.C.setflags(write=False)
 
 
 def build_integrator(order, t_s):
     """Build the order-1, -2, or -3 discrete integrator model for sample time t_s.
 
     A is upper triangular with unit diagonal (Taylor propagation of the state),
-    B holds t_s^i / i! for i = order down to 1, and C reads the first state.
+    B holds t_s^i / i! for i = order down to 1; the signal is the first state.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"differentiation order must be 1, 2, or 3, got {order!r}")
@@ -50,6 +47,4 @@ def build_integrator(order, t_s):
         for j in range(i + 1, order):
             A[i, j] = t_s ** (j - i) / factorial(j - i)
     B = np.array([t_s ** (order - i) / factorial(order - i) for i in range(order)])
-    C = np.zeros(order)
-    C[0] = 1.0
-    return SystemMatrices(A=A, B=B, C=C, t_s=float(t_s), n=order)
+    return SystemMatrices(A=A, B=B, n=order)

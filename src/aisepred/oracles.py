@@ -1,25 +1,24 @@
 """Independent reference computations for derived constants and checks.
 
-Everything here deliberately avoids the library's closed-form code paths:
-rotations come from a truncated power series, integrals from Simpson
-quadrature, steady-state gains from an algebraic Riccati solver, and helix
-constants from their closed-form parameter expressions. The goldens file
-checked into the test suite is regenerated from these.
+The rotation references deliberately avoid the library's closed-form code
+paths: rotations come from a truncated power series, integrals from Simpson
+quadrature. Helix constants come from their closed-form parameter
+expressions. The goldens file checked into the test suite is regenerated from
+these, together with the steady-state tracker gains of `abg_gains`, which
+solves the algebraic Riccati equation directly.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
+from .baselines import abg_gains
 from .frenet import gamma0, gamma1, hat
-from .integrators import build_integrator
 
 __all__ = [
     "series_rotation_exp",
     "simpson_rotation_integral",
     "helix_constants",
-    "abg_gains_dare",
     "compute_goldens",
 ]
 
@@ -83,17 +82,6 @@ def helix_constants(radius=20.0, rate=0.5, climb=1.0):
     }
 
 
-def abg_gains_dare(gamma_index, t_s):
-    """Steady-state tracker gains from the algebraic Riccati equation directly."""
-    model = build_integrator(3, t_s)
-    A, B = model.A, model.B
-    Q = (gamma_index / t_s**2) ** 2 * np.outer(B, B)
-    C = np.array([[1.0, 0.0, 0.0]])
-    P_pred = solve_discrete_are(A.T, C.T, Q, np.array([[1.0]]))
-    K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
-    return float(K[0]), float(K[1] * t_s), float(K[2] * t_s**2 / 2.0)
-
-
 def compute_goldens(seed=20240615):
     """Regenerate every derived reference value used by the test suite."""
     rng = np.random.default_rng(seed)
@@ -116,7 +104,7 @@ def compute_goldens(seed=20240615):
         g1_err = max(g1_err, float(np.max(np.abs(t_s * gamma1(w * t_s) - reference))))
 
     tracking_index, t_s_abg = 0.6, 0.01
-    alpha, beta, gamma = abg_gains_dare(tracking_index, t_s_abg)
+    alpha, beta, gamma = abg_gains(tracking_index, t_s_abg)
 
     return {
         "schema_version": 1,

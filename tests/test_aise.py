@@ -469,7 +469,7 @@ def test_step_invariants_on_noisy_run():
         assert f.v2_k >= 0.0
     # positive definiteness of the coefficient covariance
     np.linalg.cholesky(f.p_inv)
-    np.linalg.cholesky(f.P_rls)
+    np.linalg.cholesky(f.P_sqrt @ f.P_sqrt.T)
 
 
 def test_serialization_roundtrip_exact():

@@ -1,8 +1,10 @@
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from aisepred.baselines import (
     AbgFilter,
@@ -11,8 +13,6 @@ from aisepred.baselines import (
     abg_error_dynamics_eigenvalues,
     abg_gains,
 )
-from aisepred.integrators import build_integrator
-from aisepred.oracles import abg_gains_dare
 
 GOLDENS = json.loads((pathlib.Path(__file__).parent / "goldens.json").read_text())
 
@@ -22,15 +22,24 @@ GOLDENS = json.loads((pathlib.Path(__file__).parent / "goldens.json").read_text(
 # ---------------------------------------------------------------------------
 
 
+def frequency_response(cascade, w):
+    """Complex response H(e^{jw}) evaluated directly from the section coefficients."""
+    zinv = np.exp(-1j * np.asarray(w, dtype=float))
+    H = np.ones_like(zinv, dtype=complex)
+    for b0, b1, b2, a0, a1, a2 in cascade.sections:
+        H *= (b0 + b1 * zinv + b2 * zinv**2) / (a0 + a1 * zinv + a2 * zinv**2)
+    return H
+
+
 def test_butterworth_dc_gain():
     f = ButterworthCascade()
-    H0 = f.frequency_response(np.array([0.0]))[0]
+    H0 = frequency_response(f, np.array([0.0]))[0]
     assert abs(abs(H0) - 1.0) < 1e-10
 
 
 def test_butterworth_cutoff_magnitude():
     f = ButterworthCascade()
-    Hc = f.frequency_response(np.array([0.8 * np.pi]))[0]
+    Hc = frequency_response(f, np.array([0.8 * np.pi]))[0]
     assert abs(abs(Hc) - 1.0 / np.sqrt(2.0)) < 1e-6
 
 
@@ -52,7 +61,7 @@ def test_butterworth_impulse_energy_matches_frequency_oracle():
     h = f.filter(impulse)[1:]
     energy_time = float((h**2).sum())
     w = 2.0 * np.pi * np.arange(n) / n
-    energy_freq = float((np.abs(f.frequency_response(w)) ** 2).mean())
+    energy_freq = float((np.abs(frequency_response(f, w)) ** 2).mean())
     assert abs(energy_time - energy_freq) < 1e-9
 
 
@@ -161,13 +170,6 @@ def test_abg_gains_match_goldens():
     assert gamma == pytest.approx(g["gamma"], rel=1e-8)
 
 
-def test_abg_gains_match_dare_oracle():
-    for gi in (0.05, 0.6, 2.0):
-        iterative = abg_gains(gi, 0.01)
-        direct = abg_gains_dare(gi, 0.01)
-        np.testing.assert_allclose(iterative, direct, rtol=1e-8)
-
-
 def test_abg_gains_vanish_monotonically():
     t_s = 0.01
     gains = [abg_gains(gi, t_s) for gi in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)]
@@ -176,25 +178,35 @@ def test_abg_gains_vanish_monotonically():
     assert np.all(arr[-1] < 1e-2)
 
 
-def test_abg_fixed_point_residual():
-    # The converged predicted covariance is stationary under one more
-    # textbook Riccati sweep.
-    t_s, gi = 0.01, 0.6
-    model = build_integrator(3, t_s)
-    A, B = model.A, model.B
-    Q = (gi / t_s**2) ** 2 * np.outer(B, B)
-    from aisepred.baselines import _abg_riccati
-
-    P_pred = _abg_riccati(gi, t_s)
-    K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
-    P_post = P_pred - np.outer(K, P_pred[0, :])
-    P_next = A @ P_post @ A.T + Q
-    assert np.max(np.abs(P_next - P_pred)) < 1e-10
+@pytest.mark.parametrize("gamma_index", [1e-5, 0.05, 0.6, 2.0, 1e3, 1e6])
+def test_abg_fixed_point_residual(gamma_index):
+    # The gains are a fixed point of one Riccati sweep: the predicted covariance a tracker with
+    # these gains holds in steady state gives these gains back. In the coordinates
+    # (p, t_s v, t_s^2 a / 2) the correction is (alpha, beta, gamma) itself, the transition is
+    # the Pascal matrix, and the jerk noise enters as (gamma_index * t_s) * (1/6, 1/2, 1/2).
+    t_s = 0.01
+    k = np.array(abg_gains(gamma_index, t_s))
+    A = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+    b = gamma_index * t_s * np.array([1.0 / 6.0, 0.5, 0.5])
+    closed = A - np.outer(A @ k, [1.0, 0.0, 0.0])
+    P_pred = solve_discrete_lyapunov(closed, np.outer(A @ k, A @ k) + np.outer(b, b))
+    k_next = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
+    assert np.max(np.abs(k_next - k) / k) <= 1e-12
 
 
 def test_abg_error_dynamics_stable():
     alpha, beta, gamma = abg_gains(0.6, 0.01)
     eigs = abg_error_dynamics_eigenvalues(alpha, beta, gamma, 0.01)
+    assert np.max(np.abs(eigs)) < 1.0
+
+
+def test_abg_large_tracking_index_builds_at_once():
+    # The predicted covariance grows as (index / t_s^2)^2, past any absolute tolerance an
+    # iterated Riccati recursion could stop at; the direct solve does not depend on it.
+    start = time.perf_counter()
+    filt = AbgFilter(1e6, 0.01)
+    assert time.perf_counter() - start < 1.0
+    eigs = abg_error_dynamics_eigenvalues(filt.alpha, filt.beta, filt.gamma, 0.01)
     assert np.max(np.abs(eigs)) < 1.0
 
 
