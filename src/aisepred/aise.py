@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dger, dtrsm
 
-from .integrators import build_integrator
+from .integrators import build_integrator, check_sample_time
 
 __all__ = [
     "AiseConfig",
@@ -97,8 +97,7 @@ class AiseConfig:
     def __post_init__(self):
         if self.order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2, or 3, got {self.order!r}")
-        if not 0 < self.t_s < math.inf:
-            raise ValueError("t_s must be finite and positive")
+        check_sample_time(self.t_s)
         if self.n_e < 1 or self.n_f < 2:  # n_f - 1 closed-loop products are kept
             raise ValueError("need n_e >= 1 and n_f >= 2")
         for name in ("r_z", "r_d", "r_theta", "r_inf"):

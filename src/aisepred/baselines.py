@@ -3,8 +3,9 @@
 BDB smooths the position stream with a causal Butterworth low-pass and takes
 first/second backward differences. The alpha-beta-gamma tracker is a
 steady-state Kalman filter for the constant-acceleration model whose three
-gains are parameterized by a single dimensionless tracking index (the
-process-to-measurement noise ratio).
+gains are set by a tracking index (the process-to-measurement noise ratio).
+The index is not dimensionless: it has units of 1/s, and the gains depend
+only on its product with the sample time, gi * t_s.
 
 scipy.signal is imported when the first ButterworthCascade is built, not with
 this module: it loads scipy.stats and most of scipy with it, more than doubling
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
-from .integrators import build_integrator
+from .integrators import build_integrator, check_sample_time
 
 __all__ = [
     "ButterworthCascade",
@@ -74,11 +75,9 @@ class BdbDifferentiator:
     """Backward differences of the Butterworth-filtered position stream."""
 
     def __init__(self, t_s, order=10, cutoff=0.8 * np.pi):
-        if t_s <= 0:
-            raise ValueError("t_s must be positive")
+        check_sample_time(t_s)
         self.t_s = float(t_s)
         self.cascade = ButterworthCascade(order=order, cutoff=cutoff)
-        self.filtered = 0.0  # most recent smoothed position
         self._y1 = None      # filtered value one step back
         self._y2 = None      # two steps back
 
@@ -102,7 +101,6 @@ class BdbDifferentiator:
         v = (y - ext[1:-1]) / self.t_s
         a = (y - 2.0 * ext[1:-1] + ext[:-2]) / self.t_s**2
         self._y2, self._y1 = float(ext[-2]), float(ext[-1])
-        self.filtered = self._y1
         return v, a, y
 
 
@@ -113,6 +111,9 @@ def abg_gains(gamma_index, t_s):
     the constant-acceleration model. Measurement noise variance is 1; process
     noise enters through the third-order input column B with standard deviation
     sigma_w such that sigma_w * t_s^2 = gamma_index (the tracking-index definition).
+    In the coordinates (p, t_s v, t_s^2 a / 2) that noise is (gamma_index * t_s)^2
+    b b^T for a fixed b, so the gains depend only on gamma_index * t_s: index 0.6
+    at t_s = 0.01 gives the gains of index 0.06 at t_s = 0.1.
     """
     check_tracking_index(gamma_index)
     model = build_integrator(3, t_s)

@@ -1,4 +1,4 @@
-"""Command-line front end: differentiation, prediction, experiment reproduction, goldens.
+"""Command-line front end: differentiation, prediction, experiment reproduction.
 
 Every experiment run writes a manifest (config hash, package version, seed)
 alongside its artifacts so results can be reproduced byte-for-byte.
@@ -14,7 +14,6 @@ from . import __version__
 from .aise import AiseFilter
 from .harness import (ExperimentConfig, estimate, load_config, method_family, normalize_method,
                       run_experiment, tuned_aise_config)
-from .oracles import compute_goldens
 from .prediction import DerivativeEstimate, predict
 from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv
 
@@ -59,10 +58,6 @@ def build_parser():
     p_exp.add_argument("--truth-derivatives", action="store_true", default=None,
                        help="bypass estimators and inject exact derivatives")
     p_exp.set_defaults(func=_cmd_experiment)
-
-    p_gold = sub.add_parser("goldens", help="regenerate derived reference values")
-    p_gold.add_argument("--out", default="goldens.json", help="output path (default goldens.json)")
-    p_gold.set_defaults(func=_cmd_goldens)
     return parser
 
 
@@ -117,15 +112,6 @@ def _cmd_experiment(args):
         print(f"{method:8s} RMSE_x={values[0]:.4f} RMSE_y={values[1]:.4f} "
               f"RMSE_z={values[2]:.4f}")
     print(f"runtime: {report.runtime_s:.2f} s")
-    return 0
-
-
-def _cmd_goldens(args):
-    goldens = compute_goldens()
-    with open(args.out, "w") as fh:
-        json.dump(goldens, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
     return 0
 
 

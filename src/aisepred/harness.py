@@ -26,6 +26,7 @@ from . import __version__
 from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
 from .baselines import AbgFilter, BdbDifferentiator, check_butterworth_design, check_tracking_index
 from .frenet import DegenerateGeometry, scalar_params
+from .integrators import check_sample_time
 from .prediction import METHODS, DerivativeEstimate, predict
 from .scenarios import SCENARIOS, add_noise, format_csv_lines, read_positions_csv, truth_arrays
 
@@ -102,8 +103,7 @@ class ExperimentConfig:
             raise ValueError(f"method {max(self.methods, key=self.methods.count)} is repeated")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not 0 < self.t_s < float("inf"):
-            raise ValueError(f"t_s must be finite and positive, got {self.t_s!r}")
+        check_sample_time(self.t_s)
         if self.sigma is not None and not 0 <= self.sigma < float("inf"):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.k0 < 0:

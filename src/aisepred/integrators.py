@@ -6,7 +6,7 @@ estimating d amounts to m-fold numerical differentiation.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 
@@ -31,6 +31,12 @@ class SystemMatrices:
         self.B.setflags(write=False)
 
 
+def check_sample_time(t_s):
+    """Raise ValueError unless the sample time t_s is finite and positive."""
+    if not 0 < t_s < inf:  # NaN fails the comparison too
+        raise ValueError(f"t_s must be finite and positive, got {t_s!r}")
+
+
 def build_integrator(order, t_s):
     """Build the order-1, -2, or -3 discrete integrator model for sample time t_s.
 
@@ -39,8 +45,7 @@ def build_integrator(order, t_s):
     """
     if order not in (1, 2, 3):
         raise ValueError(f"differentiation order must be 1, 2, or 3, got {order!r}")
-    if not t_s > 0:
-        raise ValueError(f"sample time must be positive, got {t_s!r}")
+    check_sample_time(t_s)
 
     A = np.eye(order)
     for i in range(order):

@@ -21,7 +21,6 @@ __all__ = [
     "add_noise",
     "read_timeseries_csv",
     "read_positions_csv",
-    "write_truth_csv",
 ]
 
 SCENARIOS = ("parabolic", "helical")
@@ -150,22 +149,6 @@ def read_positions_csv(path_or_file):
     if list(cols) != ["x", "y", "z"]:
         raise ValueError(f"position CSV header must be 't,x,y,z', got columns {list(cols)}")
     return t, np.column_stack([cols["x"], cols["y"], cols["z"]])
-
-
-def write_truth_csv(path_or_file, t, p, v, a, j):
-    """Write truth positions and derivatives as `t,x,y,z,vx,...,jz`."""
-    header = ["t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "jx", "jy", "jz"]
-    if hasattr(path_or_file, "write"):
-        close, fh = False, path_or_file
-    else:
-        close, fh = True, open(path_or_file, "w", newline="")
-    try:
-        fh.write(",".join(header) + "\n")
-        table = np.asarray(np.column_stack([t, p, v, a, j]), dtype=float)
-        fh.write(format_csv_lines(table.T.tolist()))
-    finally:
-        if close:
-            fh.close()
 
 
 def format_csv_lines(columns, prefix=""):

@@ -1,0 +1,55 @@
+"""Independent reference computations the tests compare the rotation operators against.
+
+They deliberately avoid the library's closed-form code paths: rotations come
+from a truncated power series, integrals from Simpson quadrature.
+"""
+
+import math
+
+import numpy as np
+
+from aisepred.frenet import hat
+
+
+def series_rotation_exp(w, t=1.0, tol=1e-15, max_terms=200):
+    """Matrix exponential of hat(w) * t by direct power series."""
+    S = hat(np.asarray(w, dtype=float)) * t
+    term = np.eye(3)
+    total = np.eye(3)
+    for n in range(1, max_terms):
+        term = term @ S / n
+        total = total + term
+        if np.max(np.abs(term)) < tol:
+            return total
+    raise RuntimeError("rotation series did not converge")
+
+
+def _series_exp_grid(S, ts, tol=1e-18):
+    """exp(S * t) for every t in ts, via shared power-series terms."""
+    t_max = float(np.max(np.abs(ts)))
+    terms = [np.eye(3)]
+    power = np.eye(3)
+    n = 0
+    while True:
+        n += 1
+        power = power @ S
+        terms.append(power / math.factorial(n))
+        if np.max(np.abs(terms[-1])) * max(t_max, 1e-300) ** n < tol or n >= 200:
+            break
+    stack = np.stack(terms)                        # (n_terms, 3, 3)
+    tp = np.power.outer(np.asarray(ts, dtype=float), np.arange(len(stack)))
+    return np.tensordot(tp, stack, axes=([1], [0]))
+
+
+def simpson_rotation_integral(w, t_s, panels=10_000):
+    """Simpson quadrature of the rotation flow integral over one sample time."""
+    if panels % 2:
+        raise ValueError("Simpson quadrature needs an even panel count")
+    S = hat(np.asarray(w, dtype=float))
+    ts = np.linspace(0.0, t_s, panels + 1)
+    mats = _series_exp_grid(S, ts)
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    h = t_s / panels
+    return (h / 3.0) * np.einsum("i,ijk->jk", weights, mats)

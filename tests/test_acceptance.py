@@ -5,7 +5,6 @@ the estimator configuration, not loosened tests: every tolerance below is
 asserted as stated.
 """
 
-import json
 import pathlib
 import time
 
@@ -15,12 +14,11 @@ import pytest
 from aisepred.aise import AiseConfig, AiseFilter, benchmark_config
 from aisepred.frenet import frenet_model, fs_predict, gamma0, gamma1
 from aisepred.harness import ExperimentConfig, run_experiment
-from aisepred.oracles import series_rotation_exp, simpson_rotation_integral
 from aisepred.prediction import va_predict
 from aisepred.scenarios import add_noise, truth_arrays
+from reference import series_rotation_exp, simpson_rotation_integral
 
 ROOT = pathlib.Path(__file__).parent.parent
-GOLDENS = json.loads((pathlib.Path(__file__).parent / "goldens.json").read_text())
 
 T_S = 0.01
 HELIX_SIGMA = 0.1
@@ -107,13 +105,13 @@ def test_criterion_04_helix_frame_constants():
     from aisepred.frenet import scalar_params
 
     u, kappa, tau = scalar_params(V[0], A[0], J[0])
-    g = GOLDENS["helix"]
     err = max(abs(u - np.sqrt(101.0)), abs(kappa - 5.0 / 101.0),
               abs(abs(tau) - 0.5 / 101.0))
-    sign_ok = np.sign(tau) == np.sign(g["torsion"])
+    # (r sin wt, r cos wt, ct) winds left-handed, so its torsion is negative.
+    sign_ok = tau < 0
     ok = err < 1e-9 and sign_ok
     assert report(4, ok, f"speed/curvature/|torsion| error {err:.2e} (<1e-9), "
-                         f"torsion sign matches goldens: {sign_ok}")
+                         f"torsion negative: {sign_ok}")
 
 
 def test_criterion_05_estimator_invariant_suite():

@@ -1,5 +1,3 @@
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -13,8 +11,7 @@ from aisepred.baselines import (
     abg_error_dynamics_eigenvalues,
     abg_gains,
 )
-
-GOLDENS = json.loads((pathlib.Path(__file__).parent / "goldens.json").read_text())
+from aisepred.integrators import build_integrator
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +133,7 @@ def test_bdb_run_equals_stacked_step(n):
     # from a fresh differentiator and when continuing after earlier samples.
     x = bursty_positions(n + 3, seed=n)
     ref = BdbDifferentiator(0.01)
-    rows = [(*ref.step(p), ref.filtered) for p in x]
+    rows = [[float(column[0]) for column in ref.run([p])] for p in x]
     v, a, filtered = np.array(rows).T
     fresh = BdbDifferentiator(0.01)
     for got, want in zip(fresh.run(x[:n]), (v[:n], a[:n], filtered[:n])):
@@ -163,11 +160,16 @@ def test_abg_run_equals_stacked_step():
 
 
 def test_abg_gains_match_goldens():
-    g = GOLDENS["abg"]
-    alpha, beta, gamma = abg_gains(g["tracking_index"], g["t_s"])
-    assert alpha == pytest.approx(g["alpha"], rel=1e-8)
-    assert beta == pytest.approx(g["beta"], rel=1e-8)
-    assert gamma == pytest.approx(g["gamma"], rel=1e-8)
+    alpha, beta, gamma = abg_gains(0.6, 0.01)
+    assert alpha == pytest.approx(0.30465079975592135, rel=1e-8)
+    assert beta == pytest.approx(0.05519425579661558, rel=1e-8)
+    assert gamma == pytest.approx(0.0025016280303427315, rel=1e-8)
+
+
+@pytest.mark.parametrize("gamma_index,t_s", [(0.06, 0.1), (6.0, 0.001)])
+def test_abg_gains_depend_only_on_index_times_sample_time(gamma_index, t_s):
+    # The tracking index has units of 1/s: the gains are a function of gamma_index * t_s.
+    np.testing.assert_allclose(abg_gains(gamma_index, t_s), abg_gains(0.6, 0.01), rtol=1e-12)
 
 
 def test_abg_gains_vanish_monotonically():
@@ -220,6 +222,16 @@ def test_abg_non_finite_tracking_index_rejected_at_once(gamma_index):
     # Before the check, the Riccati iteration ran its 10^6 steps and then raised RuntimeError.
     with pytest.raises(ValueError, match="tracking index must be finite and positive"):
         abg_gains(gamma_index, 0.01)
+
+
+@pytest.mark.parametrize("build", [lambda t_s: build_integrator(2, t_s), BdbDifferentiator,
+                                   lambda t_s: AbgFilter(0.6, t_s)],
+                         ids=["build_integrator", "BdbDifferentiator", "AbgFilter"])
+@pytest.mark.parametrize("t_s", [0.0, -0.01, float("nan"), float("inf")])
+def test_bad_sample_time_rejected_at_construction(build, t_s):
+    # Refused up front: a NaN t_s would give NaN BDB velocities and an infinite one zeros.
+    with pytest.raises(ValueError, match="t_s must be finite and positive, got"):
+        build(t_s)
 
 
 # ---------------------------------------------------------------------------

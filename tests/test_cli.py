@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import replace
@@ -8,9 +9,8 @@ import pytest
 from aisepred import harness
 from aisepred.aise import AiseFilter, benchmark_config
 from aisepred.baselines import AbgFilter, BdbDifferentiator
-from aisepred.cli import main
+from aisepred.cli import build_parser, main
 from aisepred.harness import ExperimentConfig, normalize_method, run_experiment
-from aisepred.oracles import compute_goldens
 from aisepred.prediction import DerivativeEstimate, predict
 from aisepred.scenarios import add_noise, truth_arrays
 
@@ -196,23 +196,13 @@ def test_experiment_bad_tracking_index_in_a_config_is_error_before_any_estimate(
     assert "error: tracking index must be finite and positive, got -1" in capsys.readouterr().err
 
 
-def test_goldens_regeneration_matches_checked_in(tmp_path):
-    out = tmp_path / "goldens.json"
-    assert main(["goldens", "--out", str(out)]) == 0
-    fresh = json.loads(out.read_text())
-    import pathlib
-
-    stored = json.loads((pathlib.Path(__file__).parent / "goldens.json").read_text())
-    assert fresh["abg"] == pytest.approx(stored["abg"])
-    assert fresh["helix"] == pytest.approx(stored["helix"])
-    assert fresh["gamma0_series"]["max_abs_error"] < 1e-9
-    assert fresh["gamma1_quadrature"]["max_abs_error"] < 1e-8
-
-
-def test_compute_goldens_deterministic():
-    a = compute_goldens()
-    b = compute_goldens()
-    assert a == b
+def test_parser_offers_only_the_runtime_commands(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"differentiate", "predict", "experiment"}
+    with pytest.raises(SystemExit) as exc:
+        main(["goldens"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'goldens'" in capsys.readouterr().err
 
 
 def test_differentiate_unknown_config_key_is_error(tmp_path, capsys):

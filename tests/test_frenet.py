@@ -14,8 +14,8 @@ from aisepred.frenet import (
     hat,
     scalar_params,
 )
-from aisepred.oracles import series_rotation_exp, simpson_rotation_integral
 from aisepred.scenarios import truth_arrays
+from reference import series_rotation_exp, simpson_rotation_integral
 
 
 def helix_at(k, t_s=0.01):

@@ -19,7 +19,7 @@ from aisepred.harness import (
     run_experiment,
 )
 from aisepred.prediction import PredictionTrace, predict
-from aisepred.scenarios import add_noise, format_csv_lines, truth_arrays, write_truth_csv
+from aisepred.scenarios import add_noise, format_csv_lines, truth_arrays
 
 
 def make_traces(truth, horizon, k0, offset=0.0, method="AISE/va"):
@@ -311,13 +311,10 @@ def test_csv_scenario_filters_use_the_csv_sample_time(tmp_path):
 
 def test_run_experiment_csv_scenario(tmp_path):
     t_s = 0.01
-    P, V, A, J = truth_arrays("helical", 320, t_s)
+    P = truth_arrays("helical", 320, t_s)[0]
     path = tmp_path / "input.csv"
-    write_truth_csv(path, np.arange(321) * t_s, P, V, A, J)
-    # truth export carries extra columns; the ingest format wants t,x,y,z only
-    rows = path.read_text().splitlines()
-    trimmed = "\n".join(",".join(r.split(",")[:4]) for r in rows) + "\n"
-    path.write_text(trimmed)
+    t = (np.arange(321) * t_s).tolist()
+    path.write_text("t,x,y,z\n" + format_csv_lines([t, *P.T.tolist()]))
 
     cfg = ExperimentConfig(scenario=f"csv:{path}", sigma=0.0, methods=("bdb-va",),
                            **SMALL)

@@ -34,7 +34,7 @@ def test_invalid_order_rejected(order):
 
 
 def test_nonpositive_sample_time_rejected():
-    with pytest.raises(ValueError, match="sample time"):
+    with pytest.raises(ValueError, match="t_s must be finite and positive, got 0.0"):
         build_integrator(1, 0.0)
 
 

@@ -9,7 +9,6 @@ from aisepred.scenarios import (
     read_positions_csv,
     read_timeseries_csv,
     truth_arrays,
-    write_truth_csv,
 )
 from aisepred.scenarios import _helical_state, _parabolic_state
 
@@ -110,7 +109,8 @@ def test_timeseries_roundtrip():
     buf = io.StringIO()
     t = np.arange(5) * 0.01
     P, V, A, J = truth_arrays("helical", 4, 0.01)
-    write_truth_csv(buf, t, P, V, A, J)
+    table = np.column_stack([t, P, V, A, J]).T.tolist()
+    buf.write("t,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz\n" + format_csv_lines(table))
     buf.seek(0)
     t2, cols = read_timeseries_csv(buf)
     np.testing.assert_array_equal(t2, t)
