@@ -7,10 +7,10 @@ gains are set by a tracking index (the process-to-measurement noise ratio).
 The index is not dimensionless: it has units of 1/s, and the gains depend
 only on its product with the sample time, gi * t_s.
 
-scipy.signal is imported when the first ButterworthCascade is built, not with
-this module: it loads scipy.stats and most of scipy with it, more than doubling
-the time and memory of `import aisepred`, and no AISE filter, truth-derivative
-run or `aisepred differentiate` needs it.
+The Butterworth design and cascade are written in numpy and Python floats in
+the arithmetic of scipy.signal's butter, sosfilt_zi and sosfilt, and equal them
+bit for bit: importing scipy.signal loads scipy.stats and most of scipy with
+it, which would more than double the time and memory of a run.
 """
 
 import math
@@ -46,18 +46,35 @@ def check_tracking_index(gamma_index):
 class ButterworthCascade:
     """Causal low-pass Butterworth filter as streaming second-order sections.
 
-    Designed from the analog prototype by bilinear transform with frequency
-    prewarping (the cutoff is exact). Internal delay states are primed on the
-    first sample so that a constant input passes through with no transient.
+    The analog prototype's poles -exp(i pi m / 2N), m = 1-N, 3-N, ..., N-1, are
+    prewarped to the cutoff and mapped by the bilinear transform at fs = 2. Each
+    upper-half-plane pole q and its conjugate make one section
+    [1, 2, 1, 1, -2 Re q, Re(q conj(q))], the double zero at z = -1 on top; the
+    sections run farthest from the unit circle first, and the first carries the
+    gain. Internal delay states are primed on the first sample so that a constant
+    input passes through with no transient. Sections, initial state and output
+    equal scipy.signal's butter(order, cutoff / pi, output="sos"), sosfilt_zi and
+    sosfilt bit for bit.
     """
 
     def __init__(self, order=10, cutoff=0.8 * np.pi):
         check_butterworth_design(order, cutoff)
-        from scipy.signal import butter, sosfilt, sosfilt_zi
-
-        self.sections = butter(order, cutoff / np.pi, btype="low", output="sos")
-        self._zi_unit = sosfilt_zi(self.sections)
-        self._sosfilt = sosfilt
+        # Written as scipy computes it: pi * (cutoff / pi) / 2 and cutoff / 2 differ in the last bit.
+        warped = float(4.0 * np.tan(np.pi * (cutoff / np.pi) / 2.0))
+        s = warped * -np.exp(1j * np.pi * np.arange(1 - order, order, 2.0) / (2 * order))
+        z = (4.0 + s) / (4.0 - s)
+        upper = z[z.imag > 0]
+        upper = upper[np.argsort(-np.abs(1.0 - np.abs(upper)))]
+        self.sections = np.array([[1.0, 2.0, 1.0, 1.0, -2.0 * q.real, (q * q.conjugate()).real]
+                                  for q in upper])
+        self.sections[0, :3] *= warped**order * np.real(1.0 / np.prod(4.0 - s))
+        # Each section's steady state under a unit step (lfilter_zi), times the DC gain before it.
+        zi, scale = [], 1.0
+        for b0, b1, b2, _, a1, a2 in self.sections:
+            zi.append(scale * np.linalg.solve([[1.0 + a1, -1.0], [a2, 1.0]],
+                                              [b1 - a1 * b0, b2 - a2 * b0]))
+            scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+        self._zi_unit = np.array(zi)
         self._zi = None
 
     def filter(self, xs):
@@ -66,9 +83,17 @@ class ButterworthCascade:
         if not len(xs):
             return np.empty(0)
         if self._zi is None:
-            self._zi = self._zi_unit * xs[0]
-        ys, self._zi = self._sosfilt(self.sections, xs, zi=self._zi)
-        return ys
+            self._zi = (self._zi_unit * xs[0]).tolist()
+        sections = list(zip(self.sections.tolist(), self._zi))
+        ys = []
+        for x in xs.tolist():  # transposed direct form II, section by section
+            for (b0, b1, b2, _, a1, a2), state in sections:
+                y = b0 * x + state[0]
+                state[0] = b1 * x - a1 * y + state[1]
+                state[1] = b2 * x - a2 * y
+                x = y
+            ys.append(x)
+        return np.array(ys)
 
 
 class BdbDifferentiator:

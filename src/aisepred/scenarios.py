@@ -95,7 +95,8 @@ def read_timeseries_csv(path_or_file):
 
     Returns (t, columns) with t a float array and columns an ordered dict of
     name -> float array. Raises ValueError (with the offending line number)
-    for malformed rows, non-increasing time, or non-uniform spacing.
+    for malformed rows, non-finite values, non-increasing time, or non-uniform
+    spacing.
     """
     if hasattr(path_or_file, "read"):
         close, fh = False, path_or_file
@@ -137,6 +138,11 @@ def read_timeseries_csv(path_or_file):
             bad = int(np.argmax(off))
             raise ValueError(f"line {lines[bad + 1]}: non-uniform sample spacing "
                              f"({float(dt[bad])} s vs {float(dt[0])} s)")
+        finite = np.isfinite(data[:, 1:])
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"line {lines[row]}: {names[col]} value {data[row, col + 1]} "
+                             "is not finite")
         return t, {name: data[:, i + 1].copy() for i, name in enumerate(names)}
     finally:
         if close:

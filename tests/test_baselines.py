@@ -127,6 +127,25 @@ def test_butterworth_filter_in_chunks_equals_sample_by_sample():
     np.testing.assert_array_equal(whole.filter(x[100:]), expected[100:])
 
 
+@pytest.mark.parametrize("order", range(2, 21, 2))
+def test_butterworth_equals_scipy_signal_bit_for_bit(order):
+    # scipy.signal is the oracle here only: the package designs and filters without it.
+    from scipy.signal import butter, sosfilt, sosfilt_zi
+
+    rng = np.random.default_rng(order)
+    for cutoff in [*rng.uniform(0.01, np.pi - 0.01, 20), 0.8 * np.pi]:
+        sections = butter(order, cutoff / np.pi, output="sos")
+        zi = sosfilt_zi(sections)
+        x = bursty_positions(300, seed=order)
+        expected, _ = sosfilt(sections, x, zi=zi * x[0])
+        whole, chunked = ButterworthCascade(order, cutoff), ButterworthCascade(order, cutoff)
+        np.testing.assert_array_equal(whole.sections, sections)
+        np.testing.assert_array_equal(whole._zi_unit, zi)
+        np.testing.assert_array_equal(whole.filter(x), expected)
+        got = [chunked.filter(x[:1]), chunked.filter(x[1:120]), chunked.filter(x[120:])]
+        np.testing.assert_array_equal(np.concatenate(got), expected)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 500])
 def test_bdb_run_equals_stacked_step(n):
     # The whole-stream differences equal step() sample by sample, bit for bit,

@@ -77,6 +77,16 @@ def test_differentiate_malformed_csv_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["aise-fs", "aise-va", "bdb-va", "abg-va"])
+def test_predict_non_finite_position_is_error(tmp_path, capsys, method, value):
+    # BDB and ABG would otherwise print NaN predictions and exit 0.
+    rows = [f"{k * 0.01!r},{k},0,{value if k == 2 else 0}\n" for k in range(4)]
+    (tmp_path / "in.csv").write_text("t,x,y,z\n" + "".join(rows))
+    assert main(["predict", str(tmp_path / "in.csv"), "--method", method]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: z value ")
+
+
 def test_predict_subcommand(tmp_path):
     t_s = 0.01
     P, _, _, _ = truth_arrays("helical", 500, t_s)

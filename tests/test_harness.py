@@ -502,16 +502,15 @@ def test_runtime_leaves_out_the_predictions_written_during_prediction(tmp_path, 
     assert time.perf_counter() - start - rep.runtime_s >= 0.2
 
 
-def test_an_estimator_failure_leaves_no_artifact(tmp_path):
-    t_s = 0.01
-    P = truth_arrays("helical", 320, t_s)[0]
-    P[200, 1] = np.nan
-    path = tmp_path / "input.csv"
-    with open(path, "w") as fh:
-        fh.write("t,x,y,z\n")
-        for k in range(321):
-            fh.write(",".join(repr(float(v)) for v in [k * t_s, *P[k]]) + "\n")
-    cfg = ExperimentConfig(scenario=f"csv:{path}", sigma=0.0, **SMALL)
+def test_an_estimator_failure_leaves_no_artifact(tmp_path, monkeypatch):
+    # A CSV refuses a non-finite position, so the NaN goes into the measurements.
+    def nan_at_step_200(P, sigma, seed):
+        measurements = add_noise(P, sigma, seed)
+        measurements[200, 1] = np.nan
+        return measurements
+
+    monkeypatch.setattr(harness, "add_noise", nan_at_step_200)
+    cfg = ExperimentConfig(sigma=0.0, **SMALL)
     with pytest.raises(InvalidSample):
         run_experiment(cfg, out_dir=tmp_path / "out")
     # predictions.csv is opened only once estimate() has returned.

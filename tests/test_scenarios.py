@@ -167,6 +167,14 @@ def test_time_errors_name_the_line_of_their_row(text, message):
     assert str(error.value) == message
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected_with_its_line(value):
+    buf = io.StringIO(f"t,x,y,z\n0.0,0,0,0\n0.01,0,0,0\n\n0.02,0,{value},0\n0.03,0,0,0\n")
+    with pytest.raises(ValueError) as error:
+        read_positions_csv(buf)
+    assert str(error.value) == f"line 5: y value {float(value)} is not finite"
+
+
 def test_malformed_field_reports_line():
     buf = io.StringIO("t,x,y,z\n0.0,0,0,0\n0.01,oops,0,0\n")
     with pytest.raises(ValueError, match="line 3"):
