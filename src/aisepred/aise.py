@@ -200,13 +200,13 @@ def f_critical(dfn, dfd, quantile=0.99):
     return dfd * w / (dfn * (1.0 - w))
 
 
-def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
+def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit):
     """Forgetting factor from a one-sided variance-ratio test on the residuals.
 
     Compares the sample variance over the last tau_n residuals against the
-    last tau_d. If the ratio exceeds the 0.99 F quantile with (tau_n - 1,
-    tau_d - 1) degrees of freedom, the factor drops below one,
-    lambda = 1 / (1 + alpha_vrf * (F - F_crit)); otherwise it stays at one.
+    last tau_d. If the ratio F exceeds f_crit (AiseFilter passes the 0.99 F
+    quantile with (tau_n - 1, tau_d - 1) degrees of freedom), the factor drops
+    below one, lambda = 1 / (1 + alpha_vrf * (F - f_crit)); otherwise it stays at one.
     Fewer than tau_d residuals, or a zero denominator variance, mean no
     evidence of change and return 1. z_history is a list or 1-D array, oldest first.
     """
@@ -219,8 +219,6 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit=None):
     if var_d <= 0.0:
         return 1.0
     ratio = sum([(v - mean_n) * (v - mean_n) for v in z_n]) / (tau_n - 1) / var_d
-    if f_crit is None:
-        f_crit = f_critical(tau_n - 1, tau_d - 1)
     if ratio > f_crit:
         return 1.0 / (1.0 + alpha_vrf * (ratio - f_crit))
     return 1.0

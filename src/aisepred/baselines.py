@@ -108,25 +108,26 @@ class BdbDifferentiator:
 
     def step(self, p):
         """Returns (velocity, acceleration) estimates for this sample."""
-        v, a, _ = self.run([p])
+        v, a = self.run([p])
         return float(v[0]), float(a[0])
 
     def run(self, ps):
-        """(velocity, acceleration, filtered position) arrays for a whole stream.
+        """(velocity, acceleration) arrays for a whole stream.
 
-        The backward differences are index shifts of the filtered stream; the
-        result equals running it sample by sample, bit for bit.
+        The backward differences are index shifts of the filtered stream, which
+        is not returned: predictions anchor on the measured position. The result
+        equals running it sample by sample, bit for bit.
         """
         y = self.cascade.filter(ps)
         if not len(y):
-            return y, y, y
+            return y, y
         if self._y1 is None:
             self._y1 = self._y2 = y[0]
         ext = np.concatenate(([self._y2, self._y1], y))  # ext[k + 2] = y[k]
         v = (y - ext[1:-1]) / self.t_s
         a = (y - 2.0 * ext[1:-1] + ext[:-2]) / self.t_s**2
         self._y2, self._y1 = float(ext[-2]), float(ext[-1])
-        return v, a, y
+        return v, a
 
 
 def abg_gains(gamma_index, t_s):

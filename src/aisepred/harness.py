@@ -3,10 +3,11 @@
 A run has three phases. estimate() runs the estimator families the methods
 name (AISE orders 1-3 per axis, and the two baselines) over the whole noisy
 measurement stream, one channel at a time, and returns one record of
-position, velocity, acceleration (and AISE jerk) per family; with
+velocity, acceleration (and AISE jerk) estimates per family; with
 truth_derivatives the exact derivatives stand in as the AISE record.
-Prediction then anchors a trace at every step in [k0, n_steps - horizon],
-reading the record of the method's family. Each trace's horizon endpoint is
+Prediction then anchors a trace on the measured position at every step in
+[k0, n_steps - horizon], reading the derivatives from the record of the
+method's family. Each trace's horizon endpoint is
 scored against noiseless truth as the trace is made, with the reduction
 rmse() applies. With artifacts, the traces go to predictions.csv a block at a
 time as they are made, so no trace outlives its block. Runs are deterministic
@@ -87,7 +88,6 @@ class ExperimentConfig:
     methods: tuple = ("BDB/va", "ABG/va", "AISE/va", "AISE/FS")
     rmse_form: str = "standard"
     truth_derivatives: bool = False
-    anchor_on_estimate: bool = False
     aise_order1: AiseConfig | None = None
     aise_order2: AiseConfig | None = None
     aise_order3: AiseConfig | None = None
@@ -217,33 +217,26 @@ def estimate(measurements, config, families, jerk):
     families is a collection of "aise" (AISE orders 1-2, and order 3 when
     jerk is set, tuned by config.aise_config), "bdb" and "abg" (the
     baselines), all at sample time config.t_s. Returns one record per
-    family, in the order aise, bdb, abg, mapping "p", "v", "a" (and "j" for
-    AISE with jerk) to (N, 3) arrays; p is the family's position estimate,
-    for AISE the order-1 filter's assimilated position. The channels are
-    independent, so each runs over its whole column in turn, with the same
-    bits as a sample-by-sample interleaving.
+    family, in the order aise, bdb, abg, mapping "v", "a" (and "j" for
+    AISE with jerk) to (N, 3) arrays of derivative estimates. The channels
+    are independent, so each runs over its whole column in turn, with the
+    same bits as a sample-by-sample interleaving.
     """
     measurements = np.asarray(measurements, dtype=float)
     est = {}
     if "aise" in families:
-        record = est["aise"] = {"p": np.empty(measurements.shape)}
-        pos = record["p"]
-        for order, key in enumerate("vaj" if jerk else "va", start=1):
-            out = record[key] = np.empty(measurements.shape)
-            for ax, column in enumerate(measurements.T):
-                filt = AiseFilter(config.aise_config(order))
-                for k, y in enumerate(column.tolist()):
-                    out[k, ax] = filt.step(y)
-                    if order == 1:
-                        pos[k, ax] = filt.x_da[0]
-    # Each run() returns its outputs in the order the zip names them.
+        est["aise"] = {key: np.column_stack([AiseFilter(config.aise_config(order)).run(column)
+                                             for column in measurements.T])
+                       for order, key in enumerate("vaj" if jerk else "va", start=1)}
     if "bdb" in families:
-        est["bdb"] = dict(zip("vap", np.stack([
+        v, a = np.stack([
             BdbDifferentiator(config.t_s, config.butterworth_order, config.butterworth_cutoff).run(c)
-            for c in measurements.T], axis=2)))
-    if "abg" in families:
-        est["abg"] = dict(zip("pva", np.stack(
-            [AbgFilter(config.tracking_index, config.t_s).run(c) for c in measurements.T], axis=2)))
+            for c in measurements.T], axis=2)
+        est["bdb"] = {"v": v, "a": a}
+    if "abg" in families:  # the tracker's position state is not read
+        _, v, a = np.stack(
+            [AbgFilter(config.tracking_index, config.t_s).run(c) for c in measurements.T], axis=2)
+        est["abg"] = {"v": v, "a": a}
     return est
 
 
@@ -261,8 +254,8 @@ def run_experiment(config, out_dir=None):
     measurements = add_noise(P[: n_steps + 1], sigma, config.seed)
 
     if config.truth_derivatives:
-        # Every method reads the exact derivatives; the measurements stand in for p.
-        est = {"aise": {"p": measurements, "v": V, "a": A, "j": J}}
+        # Every method reads the exact derivatives.
+        est = {"aise": {"v": V, "a": A, "j": J}}
     else:
         # trace.csv carries all three AISE orders, so writing it runs order 3.
         est = estimate(measurements, config, {method_family(m) for m in config.methods},
@@ -292,11 +285,10 @@ def run_experiment(config, out_dir=None):
                 continue
             record = est[family]
             v, a, j = record["v"], record["a"], record.get("j")
-            anchors = record["p"] if config.anchor_on_estimate else measurements
             errors, block = np.empty((last_anchor - first_anchor + 1, 3)), []
             begin = fh.tell() if out_dir is not None else None
             for i, k in enumerate(range(first_anchor, last_anchor + 1)):
-                trace = predict(method, anchors[k],
+                trace = predict(method, measurements[k],
                                 DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
                                 h, t_s, anchor_step=k)
                 errors[i] = P[k + h] - trace.positions[h - 1]
@@ -418,9 +410,8 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est)
     table = [np.arange(n_steps + 1)[:, None] * config.t_s, truth, measurements]
     for family, record in est.items():
         for key, values in record.items():
-            if key != "p":  # the position estimates are not written
-                columns += [f"{family}_{key}{ax}" for ax in "xyz"]
-                table.append(values)
+            columns += [f"{family}_{key}{ax}" for ax in "xyz"]
+            table.append(values)
     if "AISE/FS" in config.methods:
         aise = est["aise"]
         columns += ["kappa", "tau", "u", "fs_fallback"]

@@ -95,8 +95,8 @@ def read_timeseries_csv(path_or_file):
 
     Returns (t, columns) with t a float array and columns an ordered dict of
     name -> float array. Raises ValueError (with the offending line number)
-    for malformed rows, non-finite values, non-increasing time, or non-uniform
-    spacing.
+    for a repeated column name, malformed rows, non-finite values,
+    non-increasing time, or non-uniform spacing.
     """
     if hasattr(path_or_file, "read"):
         close, fh = False, path_or_file
@@ -111,6 +111,9 @@ def read_timeseries_csv(path_or_file):
         header = [h.strip() for h in header]
         if not header or header[0] != "t" or len(header) < 2:
             raise ValueError(f"CSV header must be 't,<col>[,...]', got {header}")
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:  # columns are keyed by name: a second one would replace the first
+            raise ValueError(f"line {reader.line_num}: column name {repeated!r} is repeated")
         names = header[1:]
         rows, lines = [], []  # each data row and the line it ends on; blank rows are skipped
         for row in reader:

@@ -206,11 +206,11 @@ def test_f_critical_matches_scipy():
 
 
 def test_vrf_constant_residuals():
-    assert vrf_lambda(np.ones(30), 5, 25, 0.002) == 1.0
+    assert vrf_lambda(np.ones(30), 5, 25, 0.002, f_critical(4, 24)) == 1.0
 
 
 def test_vrf_short_history():
-    assert vrf_lambda(np.ones(10), 5, 25, 0.002) == 1.0
+    assert vrf_lambda(np.ones(10), 5, 25, 0.002, f_critical(4, 24)) == 1.0
 
 
 def test_vrf_no_rejection_below_critical():

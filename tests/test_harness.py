@@ -19,7 +19,7 @@ from aisepred.harness import (
     run_experiment,
 )
 from aisepred.prediction import PredictionTrace, predict
-from aisepred.scenarios import add_noise, format_csv_lines, truth_arrays
+from aisepred.scenarios import SCENARIOS, add_noise, format_csv_lines, truth_arrays
 
 
 def make_traces(truth, horizon, k0, offset=0.0, method="AISE/va"):
@@ -102,15 +102,22 @@ def test_normalize_method():
         normalize_method("kalman")
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="k0 \\+ horizon"):
-        ExperimentConfig(n_steps=100, k0=80, horizon=30)
-    with pytest.raises(ValueError, match="rmse_form"):
-        ExperimentConfig(rmse_form="rms")
-    with pytest.raises(ValueError, match="scenario"):
-        ExperimentConfig(scenario="spiral")
-    with pytest.raises(ValueError, match="analytic scenario"):
-        ExperimentConfig(scenario="csv:/tmp/x.csv", truth_derivatives=True)
+@pytest.mark.parametrize("data, message", [
+    ({"n_steps": 100, "k0": 80, "horizon": 30}, "need k0 + horizon < n_steps, got 80 + 30 >= 100"),
+    ({"rmse_form": "rms"}, "rmse_form must be 'standard' or 'literal', got 'rms'"),
+    ({"scenario": "spiral"}, f"scenario must be one of {SCENARIOS} or 'csv:<path>', got 'spiral'"),
+    ({"scenario": "csv:x.csv", "truth_derivatives": True},
+     "truth-derivative injection requires an analytic scenario"),
+    ({"methods": []}, "at least one prediction method is required"),
+    ({"horizon": 0}, "horizon must be >= 1"),
+    ({"k0": -1}, "k0 must be >= 0"),
+    ({"schema_version": 2}, "unsupported config schema version 2"),
+], ids=["k0-plus-horizon", "rmse-form", "scenario", "csv-with-truth", "no-methods",
+        "horizon-0", "negative-k0", "schema-version"])
+def test_config_validation(data, message):
+    with pytest.raises(ValueError) as error:
+        config_from_dict(data)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("t_s", [0.0, -0.01, float("nan"), float("inf")])
@@ -170,12 +177,13 @@ def test_config_unknown_key_rejected():
 
 def test_default_config_hash_is_pinned():
     # The manifest's config_sha256 hashes the resolved config_to_dict output;
-    # the serializer may change only if this hash stays put.
+    # the serializer may change only if this hash stays put. It was re-recorded
+    # when ExperimentConfig lost its anchor option, whose key it hashed.
     cfg = ExperimentConfig()
     resolved = config_to_dict(cfg)
     resolved["sigma"] = cfg.resolved_sigma()
     digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
-    assert digest == "f70479e4c40656d7dcdd0f0340e8c84ed43fad916c85abd789484fabee689e40"
+    assert digest == "92772a09e7d10a02d1214c44e219353f56e21e757eae6292f7ffd1601728e83c"
     assert list(resolved["aise"]["order1"]) == [f.name for f in fields(AiseConfig)]
 
 
@@ -252,7 +260,9 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 # helix and parabolic pins were re-recorded when the RLS update of AiseFilter moved
 # to square-root covariance form, and again when the ABG gains came to be solved
 # from the Riccati equation in place of iterating it: each changes the estimates
-# in their last bits.
+# in their last bits. The parabolic predictions pin was re-recorded when every
+# prediction came to anchor on the measured position: its config had anchored on
+# the AISE position estimate. Its trace.csv pin held, as no estimate moved.
 PINNED_ARTIFACTS = {
     "helix": (
         dict(scenario="helical", n_steps=600, k0=300, horizon=50, seed=11),
@@ -260,9 +270,8 @@ PINNED_ARTIFACTS = {
         "55aa16048fa4d26202ec18514bddc158cd0cdfb2bc9e21cd371b68adfaf8fc3c",
     ),
     "parabolic": (
-        dict(scenario="parabolic", n_steps=600, k0=300, horizon=50, seed=11,
-             anchor_on_estimate=True),
-        "0c374218801f6df96c4b0148bc446c011f153f406e9e03c9b28b0eb66ac7ae99",
+        dict(scenario="parabolic", n_steps=600, k0=300, horizon=50, seed=11),
+        "9dd06b969139c59259e383ad9510c52a032097fbdaf676d2bfc9ec26aa0cf077",
         "5f0015bb950a428fd8f1a136ced0fd2d77e26646854622c1ed88bdc69e41ce18",
     ),
     # Recorded while every /va method still formatted its own prediction set.
@@ -323,15 +332,6 @@ def test_run_experiment_csv_scenario(tmp_path):
     assert np.all(np.isfinite(rep.methods["BDB/va"]))
 
 
-def test_anchor_on_estimate_switch():
-    base = ExperimentConfig(scenario="helical", methods=("aise-va",), **SMALL)
-    anchored = ExperimentConfig(scenario="helical", methods=("aise-va",),
-                                anchor_on_estimate=True, **SMALL)
-    r1 = run_experiment(base)
-    r2 = run_experiment(anchored)
-    assert not np.allclose(r1.methods["AISE/va"], r2.methods["AISE/va"])
-
-
 def test_run_experiment_rejects_short_csv(tmp_path):
     t_s = 0.01
     P, V, A, J = truth_arrays("helical", 50, t_s)
@@ -345,14 +345,16 @@ def test_run_experiment_rejects_short_csv(tmp_path):
         run_experiment(cfg)
 
 
-# sha256 of report.json and manifest.json for the PINNED_ARTIFACTS configs.
+# sha256 of report.json and manifest.json for the PINNED_ARTIFACTS configs. The manifest
+# pins, and the parabolic report pin, were re-recorded with the parabolic predictions pin:
+# each manifest lost the retired anchor option's key.
 PINNED_JSON_ARTIFACTS = {
     "helix": ("cbaec76d4c63addfa8883774e2da7f6b3044cf016a044cea4d95010b391196c8",
-              "ffbcba6fff5952e8bfda9687a2984482a39b43bf3d084fe943a2d97fd03cd06e"),
-    "parabolic": ("a02fbe073197032d7a22e37b46d2e16416815578aba44ffc0f5be2ff31b87d6b",
-                  "2cc376e6f0f1810ea2753da73cefcf05120a94ae5c2b86685acfcce259b88082"),
+              "dc34acce7606c0d05e85cc953a1802e520c7d1942b7a8ad81b87076ad28cb529"),
+    "parabolic": ("afd8ca18d8180fef0cb084588afe864f2f42c7627dcc175cbf07a16b4bdc4cc4",
+                  "0195f5450be5109d2f3e428ec357d6ada7a783b957011d9d6ffa6ec7ad2abb1f"),
     "truth": ("fff78320a15fbc22f94fd23110d57b1ab76f6e7c4c6909f420dd2838e3e0982f",
-              "a3620086929ce40ae1d56f921aa0a3f876b0f1f646759e8a7be14aba4875894e"),
+              "ad2d719f98fbcddcd9abab2386544f622dfc69207f439484e6fe51109248212d"),
 }
 
 
@@ -382,7 +384,9 @@ def test_manifest_config_reproduces_the_run(tmp_path, cfg):
     (lambda d: d["aise"].update(order4=d["aise"]["order1"]), "aise_order4"),
     (lambda d: d["aise"]["order1"].update(bogus=1), "bogus"),
     (lambda d: d.update(butterworth_order=8), "butterworth_order"),
-], ids=["butterworth", "aise-block", "aise-field", "flat-butterworth"])
+    # Written by manifests before every prediction anchored on the measured position.
+    (lambda d: d.update(anchor_on_estimate=False), "anchor_on_estimate"),
+], ids=["butterworth", "aise-block", "aise-field", "flat-butterworth", "retired-anchor-option"])
 def test_config_unknown_nested_key_rejected(edit, unknown):
     data = config_to_dict(ExperimentConfig())
     edit(data)
@@ -415,11 +419,11 @@ def test_estimate_returns_one_record_per_family():
     measurements = add_noise(truth_arrays("helical", 320, cfg.t_s)[0], 0.1, 5)
     est = estimate(measurements, cfg, {"abg", "bdb", "aise"}, jerk=False)
     assert list(est) == ["aise", "bdb", "abg"]
-    assert all(set(record) == {"p", "v", "a"} for record in est.values())
+    assert all(set(record) == {"v", "a"} for record in est.values())
     assert all(a.shape == (321, 3) for record in est.values() for a in record.values())
     with_jerk = estimate(measurements, cfg, {"aise"}, jerk=True)
-    assert list(with_jerk) == ["aise"] and set(with_jerk["aise"]) == {"p", "v", "a", "j"}
-    for key in "pva":
+    assert list(with_jerk) == ["aise"] and set(with_jerk["aise"]) == {"v", "a", "j"}
+    for key in "va":
         np.testing.assert_array_equal(with_jerk["aise"][key], est["aise"][key])
 
 

@@ -175,10 +175,22 @@ def test_non_finite_value_rejected_with_its_line(value):
     assert str(error.value) == f"line 5: y value {float(value)} is not finite"
 
 
-def test_malformed_field_reports_line():
-    buf = io.StringIO("t,x,y,z\n0.0,0,0,0\n0.01,oops,0,0\n")
-    with pytest.raises(ValueError, match="line 3"):
-        read_positions_csv(buf)
+@pytest.mark.parametrize("text, message", [
+    ("t,x,y,z\n0.0,0,0,0\n0.01,oops,0,0\n",
+     "line 3: non-numeric field in ['0.01', 'oops', '0', '0']"),
+    # Columns are keyed by name, so the second a replaced the first and its data was lost.
+    ("t,a,a\n0.0,1,2\n0.01,1,2\n", "line 1: column name 'a' is repeated"),
+    ("t,x,t\n0.0,1,2\n0.01,1,2\n", "line 1: column name 't' is repeated"),
+    ("", "empty CSV: missing header"),
+    ("x,t\n1,0.0\n1,0.01\n", "CSV header must be 't,<col>[,...]', got ['x', 't']"),
+    ("t,x\n0.0,1\n0.01,1,2\n", "line 3: expected 2 fields, got 3"),
+    ("t,x\n0.0,1\n\n", "CSV must contain at least two data rows"),
+], ids=["non-numeric-field", "repeated-name", "repeated-t", "empty-file", "header-not-t",
+        "wrong-field-count", "one-data-row"])
+def test_malformed_field_reports_line(text, message):
+    with pytest.raises(ValueError) as error:
+        read_timeseries_csv(io.StringIO(text))
+    assert str(error.value) == message
 
 
 def test_unknown_scenario_rejected():
