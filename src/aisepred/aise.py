@@ -13,12 +13,13 @@ Each AiseFilter is single-writer. Instances are independent, so one filter
 per signal channel can run on its own thread; a filter can be checkpointed to
 JSON and restored with bit-identical continuation.
 
-scipy.special is imported by f_critical, so with the first filter, not with
-this module: a truth-derivative run builds no filter and never needs it.
+The F-test quantile that drives the forgetting is computed in pure Python
+(f_critical), so the module needs scipy.linalg and nothing else of scipy.
 """
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -192,12 +193,83 @@ class StepDiagnostics:
     forecast_var: float | None
 
 
-def f_critical(dfn, dfd, quantile=0.99):
-    """Upper quantile of the F distribution via the regularized incomplete beta inverse."""
-    from scipy.special import betaincinv
+def _half_gamma(k):
+    """Gamma(k / 2) as an exact (numerator, denominator), over sqrt(pi) for odd k."""
+    n = k // 2
+    return (math.factorial(k - 1), 4**n * math.factorial(n)) if k % 2 else (math.factorial(n - 1), 1)
 
-    w = betaincinv(0.5 * dfn, 0.5 * dfd, quantile)
-    return dfd * w / (dfn * (1.0 - w))
+
+def _beta_cf(x, a, b, d0):
+    """I_x(a, b) a B(a, b) / (x^a (1 - x)^b) by Lentz's method; d0 = 1 - (a + b) x / (a + 1)."""
+    c, d = 1.0, 1.0 / d0
+    h, m = d, 1
+    while True:
+        for dn in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + dn * d or 1e-300)
+            c = 1.0 + dn / c or 1e-300
+            h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
+            return h
+        m += 1
+
+
+def _tail_exceeds(x0, x1, dfn, dfd, pn, pd):
+    """Whether 1 - I_x(dfn / 2, dfd / 2) > pn / pd at x = (x0 + x1) / 2, exactly, for even dfn.
+
+    The tail is (1 - x)^(dfd / 2) * sum_{j<dfn/2} (dfd / 2)_j / j! * x^j, the sum h / k by Horner;
+    both sides are squared so that an odd dfd needs no root. pd is a power of 2.
+    """
+    (m0, d0), (m1, d1) = x0.as_integer_ratio(), x1.as_integer_ratio()
+    big = max(d0, d1)
+    m, e = m0 * (big // d0) + m1 * (big // d1), big.bit_length()  # x = m / 2**e
+    h = k = 1
+    for j in range(dfn // 2 - 1, 0, -1):
+        h, k = (2 * j * k << e) + m * (dfd + 2 * j - 2) * h, 2 * j * k << e
+    return ((2**e - m) ** dfd * h * h) << 2 * (pd.bit_length() - 1) > (pn * k) ** 2 << e * dfd
+
+
+def f_critical(dfn, dfd, quantile=0.99):
+    """Upper quantile of the F(dfn, dfd) distribution, dfd * w / (dfn * (1 - w)).
+
+    w solves I_w(dfn / 2, dfd / 2) = quantile (I the regularized incomplete beta) by Halley's
+    method in a shrinking bracket, I being the density times Lentz's continued fraction. For
+    even dfn the upper tail is a finite sum that tells exactly on which side of the root each
+    midpoint between neighbouring doubles lies, so w is the double nearest the root (scipy's
+    betaincinv value at the default). For odd dfn F is within about 1e-14 of exact, relative.
+    """
+    if not all(isinstance(df, numbers.Integral) and df >= 1 for df in (dfn, dfd)):
+        raise ValueError(f"degrees of freedom must be positive integers, got {dfn!r} and {dfd!r}")
+    if not 0.0 < quantile < 1.0:
+        raise ValueError(f"quantile must lie in (0, 1), got {quantile!r}")
+    dfn, dfd, q = int(dfn), int(dfd), float(quantile)
+    a, b = dfn / 2, dfd / 2
+    (n_ab, d_ab), (n_a, d_a), (n_b, d_b) = (_half_gamma(k) for k in (dfn + dfd, dfn, dfd))
+    inv_beta = n_ab * d_a * d_b / (d_ab * n_a * n_b) / (math.pi if dfn % 2 and dfd % 2 else 1.0)
+    lo, hi, x = 0.0, 1.0, a / (a + b)
+    while True:
+        y = 1.0 - x
+        # x^a (1 - x)^b / B(a, b), (1 - x)^b corrected for the rounding of y; the density is g / (x y)
+        g = math.pow(x, a) * math.pow(y, b) * math.exp(b * math.log1p((1.0 - y - x) / y)) * inv_beta
+        if x < (a + 1.0) / (a + b + 2.0):  # res = I - q, each fraction fast and its d0 from exact x
+            res = g * _beta_cf(x, a, b, 1.0 - (a + b) * x / (a + 1.0)) / a - q
+        else:  # from the upper tail itself, so that q near 1 loses no digits
+            res = (1.0 - q) - g * _beta_cf(y, b, a, (1.0 - a + (a + b) * x) / (b + 1.0)) / b
+        lo, hi = (x, hi) if res < 0.0 else (lo, x)
+        u = res * x * y / g if g else math.inf  # g underflowed: the step leaves the bracket
+        new = x - u / (1.0 - 0.5 * min(1.0, u * ((a - 1.0) / x - (b - 1.0) / y)))  # Halley's
+        if new != x and not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if not lo < new < hi:  # converged (x is lo or hi), or no double is left inside
+            break
+        x = new
+    if dfn % 2 == 0:  # move to the double nearest the root; the tail falls as x grows
+        qn, qd = q.as_integer_ratio()
+        while not _tail_exceeds(x, math.nextafter(x, 0.0), dfn, dfd, qd - qn, qd):
+            x = math.nextafter(x, 0.0)
+        while _tail_exceeds(x, math.nextafter(x, 1.0), dfn, dfd, qd - qn, qd):
+            x = math.nextafter(x, 1.0)
+    return dfd * x / (dfn * (1.0 - x))
 
 
 def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit):

@@ -95,7 +95,7 @@ def read_timeseries_csv(path_or_file):
 
     Returns (t, columns) with t a float array and columns an ordered dict of
     name -> float array. Raises ValueError (with the offending line number)
-    for a repeated column name, malformed rows, non-finite values,
+    for a repeated or empty column name, malformed rows, non-finite values,
     non-increasing time, or non-uniform spacing.
     """
     if hasattr(path_or_file, "read"):
@@ -111,6 +111,8 @@ def read_timeseries_csv(path_or_file):
         header = [h.strip() for h in header]
         if not header or header[0] != "t" or len(header) < 2:
             raise ValueError(f"CSV header must be 't,<col>[,...]', got {header}")
+        if "" in header:  # a missing name would become a column named ""
+            raise ValueError(f"line {reader.line_num}: column {header.index('') + 1} has no name")
         repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
         if repeated is not None:  # columns are keyed by name: a second one would replace the first
             raise ValueError(f"line {reader.line_num}: column name {repeated!r} is repeated")

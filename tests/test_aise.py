@@ -1,12 +1,16 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy.special import betaincinv
 
 from aisepred.aise import (
     AiseConfig,
     AiseFilter,
+    _tail_exceeds,
     benchmark_config,
     f_critical,
     from_fields,
@@ -201,8 +205,54 @@ def test_filter_regressor_direct_sum():
 
 
 def test_f_critical_matches_scipy():
-    assert f_critical(4, 24) == pytest.approx(stats.f.ppf(0.99, 4, 24), rel=1e-10)
-    assert f_critical(9, 40, 0.95) == pytest.approx(stats.f.ppf(0.95, 9, 40), rel=1e-10)
+    # scipy is the oracle here only. Its own quantile is up to several hundred units in the
+    # last place of w off the root on this grid (430 at F(10, 197), 0.95), hence 1e-13.
+    for quantile in (0.95, 0.99, 0.999):
+        for dfn in range(1, 41):
+            for dfd in range(dfn + 1, 201):
+                w = float(betaincinv(dfn / 2, dfd / 2, quantile))
+                expected = dfd * w / (dfn * (1.0 - w))
+                assert f_critical(dfn, dfd, quantile) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def test_f_critical_default_is_scipys_double():
+    # The default config's forgetting test, F(4, 24) at 0.99: scipy's double, which is also the
+    # correctly rounded quantile, so every default-config output is unchanged bit for bit.
+    assert f_critical(4, 24) == 4.218445267356267
+    assert AiseFilter()._f_crit == 4.218445267356267
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_dfn=st.integers(1, 20), dfd=st.integers(1, 200), x=st.floats(1e-4, 0.9),
+       up=st.booleans())
+def test_tail_test_is_exact_at_a_near_tie(half_dfn, dfd, x, up):
+    # The upper tail of Beta(dfn / 2, dfd / 2) at the midpoint of x and a neighbouring double,
+    # in fractions, against a bound p that is the double nearest that tail: the two differ
+    # only in the last bits, which the integer test must still order.
+    x1 = math.nextafter(x, 1.0 if up else 0.0)
+    mid = (Fraction(x) + Fraction(x1)) / 2
+    total, term = Fraction(0), Fraction(1)
+    for j in range(half_dfn):
+        total, term = total + term, term * (Fraction(dfd, 2) + j) / (j + 1) * mid
+    tail_squared = (1 - mid) ** dfd * total**2
+    p = Fraction(math.sqrt(tail_squared))
+    assert _tail_exceeds(x, x1, 2 * half_dfn, dfd, *p.as_integer_ratio()) == (tail_squared > p * p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dfn=st.integers(1, 40), extra=st.integers(1, 160), quantile=st.floats(0.001, 0.99),
+       gap=st.floats(1e-6, 0.009))
+def test_f_critical_increases_with_the_quantile(dfn, extra, quantile, gap):
+    assert f_critical(dfn, dfn + extra, quantile) < f_critical(dfn, dfn + extra, quantile + gap)
+
+
+@pytest.mark.parametrize("args", [
+    (0, 24), (4, 0), (-1, 24), (4.0, 24), (4, 24.0), ("4", 24),
+    (4, 24, 0.0), (4, 24, 1.0), (4, 24, -0.5), (4, 24, 1.5), (4, 24, float("nan")),
+])
+def test_f_critical_refuses_bad_arguments(args):
+    with pytest.raises(ValueError):
+        f_critical(*args)
 
 
 def test_vrf_constant_residuals():

@@ -404,14 +404,16 @@ STEP_PIN_CONFIGS = {
 # replaced by its restored checkpoint at step 600. They do not depend on the checkpoint
 # format, so a change to what a checkpoint holds must leave them as they are. The
 # small-window-o3 and long-vrf-o2 pins were re-recorded when vrf_lambda's variances came to
-# be summed with sum() in place of numpy's pairwise order.
+# be summed with sum() in place of numpy's pairwise order, and long-vrf-o2's again when its
+# F(8, 39) quantile became the correctly rounded one, 3.0064384617979205, where scipy's
+# betaincinv gave 3.0064384617979214 (its w is 0.65 units in the last place off the root).
 PINNED_STEPS = {
     "benchmark-o1": "54eea2a7b0ba59690a79ef3f419ac2a38767d4c6d6c54c9ee642cb27385c1334",
     "benchmark-o2": "917cf94af86b53915b1bf1445fbbe9b29c77d566447fa77a5d9561c78ad03d2d",
     "benchmark-o3": "a0225874d073ff2ce5db5b56e14142032cafed5f722709b694a54ad5bc12cc73",
     "interpolated-o2": "6e9556e88582516267e0215d242048805f89f7d190c8058fe889c106732e4c22",
     "small-window-o3": "0ce698de359c683749469fa6b438acd6b72524626289ec717499296f64fef611",
-    "long-vrf-o2": "6d8a64fc9c57a6d06f38b70afc24d01fa902bc3fda2cc83517966e059c9a636f",
+    "long-vrf-o2": "6455b214104c37ffd7a98aa082cf3f80c6beb6cb58cd01c1af2858b814dfa198",
 }
 
 # sha256 over the to_json() bytes of the same runs, every 300 steps.
@@ -421,7 +423,7 @@ PINNED_STEP_CHECKPOINTS = {
     "benchmark-o3": "de8653e4bdc3765288d1158b2de6b79c36d7967714acd99a5ca47e7d323add80",
     "interpolated-o2": "5546fd0d749ff269869799ba678d7544913bfec917ae97e43ba16b5ab8b59f0a",
     "small-window-o3": "32f7890e718aa5fee4613e6a4ecd1a38d50f5314a0a5bf1461c433b83b9f3e92",
-    "long-vrf-o2": "9dd6727a2339dce2af5b756d11789e1a41d15e10d17f1cdc2e13bfc3ade6785d",
+    "long-vrf-o2": "12573458b1504b146c0c7b0157b4b4e3f4645a4d03d9ce948108f3a2f000789d",
 }
 
 

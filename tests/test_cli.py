@@ -84,6 +84,13 @@ def test_differentiate_repeated_column_name_is_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: column name 'a' is repeated\n"
 
 
+def test_differentiate_empty_column_name_is_error(tmp_path, capsys):
+    # The output used to hold a column named d, from the unnamed column, and the command exited 0.
+    (tmp_path / "in.csv").write_text("t,,x\n0.0,1.0,2.0\n0.01,1.5,2.5\n0.02,2.0,3.0\n")
+    assert main(["differentiate", str(tmp_path / "in.csv")]) == 2
+    assert capsys.readouterr().err == "error: line 1: column 2 has no name\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method", ["aise-fs", "aise-va", "bdb-va", "abg-va"])
 def test_predict_non_finite_position_is_error(tmp_path, capsys, method, value):

@@ -1,5 +1,6 @@
-"""What `import aisepred` loads: never scipy.signal or scipy.stats, and scipy.special only once
-an AISE filter is built."""
+"""What aisepred loads, from `import aisepred` through nine AISE filters, both baselines, a
+truth-derivative and an estimated run and both CLI commands: never scipy.signal, scipy.stats
+or scipy.special."""
 
 import json
 import subprocess
@@ -42,14 +43,16 @@ with open(out + "/track.csv", "w") as fh:
                                     for a, b in zip(t.tolist(), ys.tolist())))
 status.append(cli.main(["predict", out + "/track.csv", "--method", "bdb-va", "--out", out + "/p.csv"]))
 print(json.dumps({"status": status,
-                  "loaded": sorted(name for name in ("scipy.signal", "scipy.stats") if name in sys.modules),
+                  "loaded": sorted(name for name in ("scipy.signal", "scipy.stats", "scipy.special")
+                                   if name in sys.modules),
                   "run": [column.tolist() for column in run]}))
 """
 
 
 def test_nothing_loads_scipy_signal(tmp_path):
     # The BDB baseline designs and runs its Butterworth cascade in numpy, so no run, baseline or
-    # command pays scipy.signal's import, which brings scipy.stats and most of scipy with it.
+    # command pays scipy.signal's import, which brings scipy.stats and most of scipy with it;
+    # and AISE computes its F-test quantile in Python, so no filter loads scipy.special.
     src = str(Path(aisepred.__file__).resolve().parents[1])
     child = subprocess.run([sys.executable, "-c", CHILD, src, str(tmp_path)],
                            capture_output=True, text=True, timeout=300, check=True)
@@ -59,29 +62,3 @@ def test_nothing_loads_scipy_signal(tmp_path):
     t = np.arange(200) * 0.01
     ys = 5.0 * np.cos(t) + 0.01 * np.sin(37.0 * t)
     assert result["run"] == [column.tolist() for column in BdbDifferentiator(0.01).run(ys)]
-
-
-# argv[1] is the directory holding the package, argv[2] a scratch directory.
-SPECIAL_CHILD = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import aisepred
-
-aisepred.run_experiment(aisepred.ExperimentConfig(n_steps=300, k0=100, horizon=50,
-                                                  truth_derivatives=True), out_dir=sys.argv[2])
-before = "scipy.special" in sys.modules
-f_crit = aisepred.AiseFilter(aisepred.benchmark_config(1))._f_crit
-print(json.dumps({"before_filter": before, "after_filter": "scipy.special" in sys.modules,
-                  "f_crit": f_crit}))
-"""
-
-
-def test_only_an_aise_filter_loads_scipy_special(tmp_path):
-    src = str(Path(aisepred.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-c", SPECIAL_CHILD, src, str(tmp_path)],
-                           capture_output=True, text=True, timeout=300, check=True)
-    result = json.loads(child.stdout.splitlines()[-1])
-    assert not result["before_filter"]
-    assert result["after_filter"]
-    assert result["f_crit"] == aisepred.AiseFilter(aisepred.benchmark_config(1))._f_crit
-    assert (tmp_path / "predictions.csv").exists()

@@ -181,12 +181,14 @@ def test_non_finite_value_rejected_with_its_line(value):
     # Columns are keyed by name, so the second a replaced the first and its data was lost.
     ("t,a,a\n0.0,1,2\n0.01,1,2\n", "line 1: column name 'a' is repeated"),
     ("t,x,t\n0.0,1,2\n0.01,1,2\n", "line 1: column name 't' is repeated"),
+    # A missing name became a column named "" (differentiate wrote its header as t,d,dx).
+    ("t,,x\n0.0,1,2\n0.01,1,2\n", "line 1: column 2 has no name"),
     ("", "empty CSV: missing header"),
     ("x,t\n1,0.0\n1,0.01\n", "CSV header must be 't,<col>[,...]', got ['x', 't']"),
     ("t,x\n0.0,1\n0.01,1,2\n", "line 3: expected 2 fields, got 3"),
     ("t,x\n0.0,1\n\n", "CSV must contain at least two data rows"),
-], ids=["non-numeric-field", "repeated-name", "repeated-t", "empty-file", "header-not-t",
-        "wrong-field-count", "one-data-row"])
+], ids=["non-numeric-field", "repeated-name", "repeated-t", "empty-name", "empty-file",
+        "header-not-t", "wrong-field-count", "one-data-row"])
 def test_malformed_field_reports_line(text, message):
     with pytest.raises(ValueError) as error:
         read_timeseries_csv(io.StringIO(text))
