@@ -4,8 +4,10 @@ BDB smooths the position stream with a causal Butterworth low-pass and takes
 first/second backward differences. The alpha-beta-gamma tracker is a
 steady-state Kalman filter for the constant-acceleration model whose three
 gains are set by a tracking index (the process-to-measurement noise ratio).
-The index is not dimensionless: it has units of 1/s, and the gains depend
-only on its product with the sample time, gi * t_s.
+The index has units of 1/s: the gains depend only on lam = gi * t_s, through
+the closed-loop poles z = 1 - e, where each root u of u^3 + p u + p = 0,
+p = lam^2 / 216, gives the stable root e of (1 + u) e^2 - 6 u e + 6 u = 0. An
+index whose poles do not round strictly inside the unit circle is refused.
 
 The Butterworth design and cascade are written in numpy and Python floats in
 the arithmetic of scipy.signal's butter, sosfilt_zi and sosfilt, and equal them
@@ -14,17 +16,16 @@ it, which would more than double the time and memory of a run.
 """
 
 import math
+import sys
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
-from .integrators import build_integrator, check_sample_time
+from .integrators import check_sample_time
 
 __all__ = [
     "ButterworthCascade",
     "BdbDifferentiator",
     "abg_gains",
-    "abg_error_dynamics_eigenvalues",
     "AbgFilter",
 ]
 
@@ -35,12 +36,6 @@ def check_butterworth_design(order, cutoff):
         raise ValueError(f"Butterworth order must be a positive even integer, got {order}")
     if not 0.0 < cutoff < np.pi:
         raise ValueError(f"Butterworth cutoff must be in (0, pi) rad/step, got {cutoff}")
-
-
-def check_tracking_index(gamma_index):
-    """Raise ValueError unless the tracking index is finite and positive."""
-    if not 0 < gamma_index < math.inf:  # NaN or inf has no Riccati solution
-        raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
 
 
 class ButterworthCascade:
@@ -131,32 +126,38 @@ class BdbDifferentiator:
 
 
 def abg_gains(gamma_index, t_s):
-    """Steady-state (alpha, beta, gamma) gains for the given tracking index.
+    """Steady-state (alpha, beta, gamma) gains for the given tracking index, in closed form.
 
-    The predicted covariance solves the discrete algebraic Riccati equation of
-    the constant-acceleration model. Measurement noise variance is 1; process
-    noise enters through the third-order input column B with standard deviation
-    sigma_w such that sigma_w * t_s^2 = gamma_index (the tracking-index definition).
-    In the coordinates (p, t_s v, t_s^2 a / 2) that noise is (gamma_index * t_s)^2
-    b b^T for a fixed b, so the gains depend only on gamma_index * t_s: index 0.6
-    at t_s = 0.01 gives the gains of index 0.06 at t_s = 0.1.
+    They are the steady-state Kalman gains of the constant-acceleration model with unit
+    measurement noise and jerk noise sigma_w = gamma_index / t_s^2 (Kalata, IEEE TAES
+    20(2), 1984), and depend only on lam = gamma_index * t_s. With p = lam^2 / 216, each
+    root u of u^3 + p u + p = 0 makes (1 + u) e^2 - 6 u e + 6 u = 0, whose roots are a
+    closed-loop pole z = 1 - e and its mirror 1 / z; e = 6 / (3 + sqrt(9 + 6 u^2 / p)),
+    principal root, is the stable one with nothing cancelling. The real u is
+    -2 sqrt(p/3) sinh(asinh(1.5 sqrt(3/p)) / 3), the complex pair follows by Vieta, and
+    with s1, s2, s3 the elementary symmetric sums of the three e, alpha = s1 - s2 + s3,
+    beta = s2 - 1.5 s3, gamma = s3 / 2 (Gray and Murray, IEEE TAES 29(3), 1993).
+
+    Raises ValueError for a t_s or index that is not finite and positive, and when the
+    gains cannot be formed in double precision: p underflows below the normal doubles or
+    overflows (lam above about 1e154), or a pole does not round strictly inside the unit
+    circle (lam below about 1e-48).
     """
-    check_tracking_index(gamma_index)
-    model = build_integrator(3, t_s)
-    Q = (gamma_index / t_s**2) ** 2 * np.outer(model.B, model.B)
-    C = np.array([[1.0, 0.0, 0.0]])  # the position is measured
-    P_pred = solve_discrete_are(model.A.T, C.T, Q, np.ones((1, 1)))
-    K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
-    return float(K[0]), float(K[1] * t_s), float(K[2] * t_s**2 / 2.0)
-
-
-def abg_error_dynamics_eigenvalues(alpha, beta, gamma, t_s):
-    """Eigenvalues of the tracker's error propagation A(I - KC)."""
-    model = build_integrator(3, t_s)
-    A = model.A
-    K = np.array([alpha, beta / t_s, 2.0 * gamma / t_s**2])
-    closed = A @ (np.eye(3) - np.outer(K, [1.0, 0.0, 0.0]))
-    return np.linalg.eigvals(closed)
+    check_sample_time(t_s)
+    if not 0 < gamma_index < math.inf:
+        raise ValueError(f"tracking index must be finite and positive, got {gamma_index}")
+    lam = float(gamma_index) * float(t_s)
+    p = lam * lam / 216.0
+    if sys.float_info.min <= p < math.inf:
+        u1 = -2.0 * math.sqrt(p / 3.0) * math.sinh(math.asinh(1.5 * math.sqrt(3.0 / p)) / 3.0)
+        u2 = complex(-0.5 * u1, math.sqrt(-p / u1 - 0.25 * u1 * u1))  # u3 is its conjugate
+        e1, e2 = (6.0 / (3.0 + (9.0 + 6.0 * u * u / p) ** 0.5) for u in (u1, u2))
+        if abs(1.0 - e1) < 1.0 and abs(1.0 - e2) < 1.0:
+            m2 = abs(e2) ** 2
+            s1, s2, s3 = e1 + 2.0 * e2.real, 2.0 * e1 * e2.real + m2, e1 * m2
+            return s1 - s2 + s3, s2 - 1.5 * s3, s3 / 2.0
+    raise ValueError(f"tracking index must give stable gains in double precision at t_s {t_s}, "
+                     f"got {gamma_index}")
 
 
 class AbgFilter:
@@ -175,11 +176,6 @@ class AbgFilter:
     def __init__(self, gamma_index, t_s):
         self.t_s = float(t_s)
         self.alpha, self.beta, self.gamma = abg_gains(gamma_index, t_s)
-        eigs = abg_error_dynamics_eigenvalues(self.alpha, self.beta, self.gamma, t_s)
-        if np.max(np.abs(eigs)) >= 1.0:
-            raise RuntimeError(
-                f"unstable tracker gains for tracking index {gamma_index}"
-            )
         self.p = 0.0
         self.v = 0.0
         self.a = 0.0

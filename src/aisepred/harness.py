@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_object
-from .baselines import AbgFilter, BdbDifferentiator, check_butterworth_design, check_tracking_index
+from .baselines import AbgFilter, BdbDifferentiator, abg_gains, check_butterworth_design
 from .frenet import DegenerateGeometry, scalar_params
 from .integrators import check_sample_time
 from .prediction import METHODS, DerivativeEstimate, predict
@@ -121,7 +121,7 @@ class ExperimentConfig:
         if self.scenario.startswith("csv:") and self.truth_derivatives:
             raise ValueError("truth-derivative injection requires an analytic scenario")
         check_butterworth_design(self.butterworth_order, self.butterworth_cutoff)
-        check_tracking_index(self.tracking_index)
+        abg_gains(self.tracking_index, self.t_s)
 
     def resolved_sigma(self):
         if self.sigma is not None:

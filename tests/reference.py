@@ -1,7 +1,8 @@
-"""Independent reference computations the tests compare the rotation operators against.
+"""Independent reference computations the tests compare the library's closed forms against.
 
 They deliberately avoid the library's closed-form code paths: rotations come
-from a truncated power series, integrals from Simpson quadrature.
+from a truncated power series, integrals from Simpson quadrature, and the
+alpha-beta-gamma tracker's poles from the eigenvalues of its error dynamics.
 """
 
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from aisepred.frenet import hat
+from aisepred.integrators import build_integrator
 
 
 def series_rotation_exp(w, t=1.0, tol=1e-15, max_terms=200):
@@ -53,3 +55,12 @@ def simpson_rotation_integral(w, t_s, panels=10_000):
     weights[2:-1:2] = 2.0
     h = t_s / panels
     return (h / 3.0) * np.einsum("i,ijk->jk", weights, mats)
+
+
+def abg_error_dynamics_eigenvalues(alpha, beta, gamma, t_s):
+    """Eigenvalues of the tracker's error propagation A(I - KC)."""
+    model = build_integrator(3, t_s)
+    A = model.A
+    K = np.array([alpha, beta / t_s, 2.0 * gamma / t_s**2])
+    closed = A @ (np.eye(3) - np.outer(K, [1.0, 0.0, 0.0]))
+    return np.linalg.eigvals(closed)

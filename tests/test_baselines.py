@@ -1,17 +1,15 @@
+import math
 import time
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
-from aisepred.baselines import (
-    AbgFilter,
-    BdbDifferentiator,
-    ButterworthCascade,
-    abg_error_dynamics_eigenvalues,
-    abg_gains,
-)
+from aisepred.baselines import AbgFilter, BdbDifferentiator, ButterworthCascade, abg_gains
 from aisepred.integrators import build_integrator
+from reference import abg_error_dynamics_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,8 @@ def test_abg_gains_vanish_monotonically():
     assert np.all(arr[-1] < 1e-2)
 
 
-@pytest.mark.parametrize("gamma_index", [1e-5, 0.05, 0.6, 2.0, 1e3, 1e6])
+@pytest.mark.parametrize("gamma_index", [1e-10, 1e-5, 0.05, 0.6, 2.0, 1e3, 1e6, 1e10, 1e20,
+                                         1e30, 1e40])
 def test_abg_fixed_point_residual(gamma_index):
     # The gains are a fixed point of one Riccati sweep: the predicted covariance a tracker with
     # these gains holds in steady state gives these gains back. In the coordinates
@@ -214,15 +213,42 @@ def test_abg_fixed_point_residual(gamma_index):
     assert np.max(np.abs(k_next - k) / k) <= 1e-12
 
 
+@pytest.mark.parametrize("gamma_index", [0.05, 0.6, 2.0, 1e3])
+def test_abg_gains_match_the_riccati_solution(gamma_index):
+    # The predicted covariance solves the discrete algebraic Riccati equation of the
+    # constant-acceleration model, with the jerk noise of the tracking-index definition.
+    t_s = 0.01
+    model = build_integrator(3, t_s)
+    Q = (gamma_index / t_s**2) ** 2 * np.outer(model.B, model.B)
+    P_pred = solve_discrete_are(model.A.T, np.array([[1.0], [0.0], [0.0]]), Q, np.ones((1, 1)))
+    K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
+    np.testing.assert_allclose(abg_gains(gamma_index, t_s),
+                               [K[0], K[1] * t_s, K[2] * t_s**2 / 2.0], rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_lam=st.floats(-30.0, 45.0))
+def test_abg_gains_are_stable_across_the_index_range(log_lam):
+    # At t_s = 1 the index is lam = gamma_index * t_s itself.
+    lam = 10.0**log_lam
+    alpha, beta, gamma = abg_gains(lam, 1.0)
+    assert all(0.0 < g < math.inf for g in (alpha, beta, gamma))
+    assert np.max(np.abs(abg_error_dynamics_eigenvalues(alpha, beta, gamma, 1.0))) < 1.0
+    if lam <= 1.0:
+        assert lam**2 * (1.0 - alpha) == pytest.approx(4.0 * gamma**2, rel=1e-12)
+
+
 def test_abg_error_dynamics_stable():
-    alpha, beta, gamma = abg_gains(0.6, 0.01)
-    eigs = abg_error_dynamics_eigenvalues(alpha, beta, gamma, 0.01)
-    assert np.max(np.abs(eigs)) < 1.0
+    # At index 1e-30 the Riccati solver returned alpha = -0.5, an unstable tracker.
+    for gamma_index in (1e-30, 0.6):
+        alpha, beta, gamma = abg_gains(gamma_index, 0.01)
+        eigs = abg_error_dynamics_eigenvalues(alpha, beta, gamma, 0.01)
+        assert np.max(np.abs(eigs)) < 1.0
 
 
 def test_abg_large_tracking_index_builds_at_once():
     # The predicted covariance grows as (index / t_s^2)^2, past any absolute tolerance an
-    # iterated Riccati recursion could stop at; the direct solve does not depend on it.
+    # iterated Riccati recursion could stop at; the closed form iterates nothing.
     start = time.perf_counter()
     filt = AbgFilter(1e6, 0.01)
     assert time.perf_counter() - start < 1.0
@@ -231,8 +257,19 @@ def test_abg_large_tracking_index_builds_at_once():
 
 
 def test_abg_invalid_tracking_index():
-    with pytest.raises(ValueError):
-        abg_gains(0.0, 0.01)
+    # Refused by name: not an OverflowError, a ZeroDivisionError, scipy's LinAlgError
+    # or NaN gains.
+    unformed = "give stable gains in double precision at t_s"
+    for gamma_index, t_s, rule in [
+        (0.0, 0.01, "be finite and positive"),
+        (1e-300, 0.01, f"{unformed} 0.01"),  # lam^2 underflows
+        (1e-100, 0.01, f"{unformed} 0.01"),  # the poles round onto the unit circle
+        (1e200, 0.01, f"{unformed} 0.01"),   # lam^2 overflows
+        (1.7e308, 1.0, f"{unformed} 1.0"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            abg_gains(gamma_index, t_s)
+        assert str(error.value) == f"tracking index must {rule}, got {gamma_index}"
 
 
 @pytest.mark.parametrize("gamma_index", [float("nan"), float("inf")])

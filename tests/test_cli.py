@@ -210,14 +210,31 @@ def test_experiment_non_finite_sigma_in_a_config_is_error(tmp_path, capsys):
 
 def test_experiment_bad_tracking_index_in_a_config_is_error_before_any_estimate(
         tmp_path, capsys, monkeypatch):
-    # The index was checked only when estimate() built the ABG baseline, after every AISE channel.
+    # The index was checked only when estimate() built the ABG baseline, after every AISE
+    # channel; an index whose gains overflow got past the check and raised OverflowError there.
     def estimate(*args, **kwargs):
         raise AssertionError("estimate() ran on a config that should have been refused")
 
     monkeypatch.setattr(harness, "estimate", estimate)
-    (tmp_path / "cfg.json").write_text('{"tracking_index": -1}')
-    assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
-    assert "error: tracking index must be finite and positive, got -1" in capsys.readouterr().err
+    for value, message in [
+        ("-1", "must be finite and positive, got -1"),
+        ("1e200", "must give stable gains in double precision at t_s 0.01, got 1e+200"),
+    ]:
+        (tmp_path / "cfg.json").write_text(f'{{"tracking_index": {value}}}')
+        assert main(["experiment", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert f"error: tracking index {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "1e-100", "1e200"])
+@pytest.mark.parametrize("method", ["abg-va", "aise-va"])
+def test_predict_bad_tracking_index_is_error(tmp_path, capsys, method, value):
+    # abg-va exited 1 with an OverflowError traceback at 1e200 and printed scipy's LinAlgError
+    # at 1e-100, where aise-va ran; every method refuses an index the ABG baseline cannot use.
+    rows = [f"{k * 0.01!r},{k},0,0\n" for k in range(4)]
+    (tmp_path / "in.csv").write_text("t,x,y,z\n" + "".join(rows))
+    assert main(["predict", str(tmp_path / "in.csv"), "--method", method,
+                 "--tracking-index", value]) == 2
+    assert capsys.readouterr().err.startswith("error: tracking index must ")
 
 
 def test_parser_offers_only_the_runtime_commands(capsys):

@@ -142,12 +142,16 @@ _BASELINE_RULES = {
     "tracking_index": "tracking index must be finite and positive",
     "butterworth_order": "Butterworth order must be a positive even integer",
     "butterworth_cutoff": "Butterworth cutoff must be in (0, pi) rad/step",
+    # Finite and positive, but its gains overflow at the default t_s.
+    ("tracking_index", 1e200):
+        "tracking index must give stable gains in double precision at t_s 0.01",
 }
 
 
 @pytest.mark.parametrize("field, value", [
     ("tracking_index", -1), ("tracking_index", 0.0), ("tracking_index", float("nan")),
-    ("tracking_index", float("inf")), ("butterworth_order", 3), ("butterworth_order", 0),
+    ("tracking_index", float("inf")), ("tracking_index", 1e200), ("butterworth_order", 3),
+    ("butterworth_order", 0),
     ("butterworth_cutoff", 4.0), ("butterworth_cutoff", 0.0), ("butterworth_cutoff", float("nan")),
 ])
 def test_config_rejects_a_bad_baseline_field_at_construction(field, value):
@@ -156,7 +160,8 @@ def test_config_rejects_a_bad_baseline_field_at_construction(field, value):
     for methods in (("BDB/va", "ABG/va"), ("AISE/va",)):
         with pytest.raises(ValueError) as error:
             ExperimentConfig(methods=methods, **{field: value})
-        assert str(error.value) == f"{_BASELINE_RULES[field]}, got {value}"
+        rule = _BASELINE_RULES.get((field, value), _BASELINE_RULES[field])
+        assert str(error.value) == f"{rule}, got {value}"
 
 
 def test_config_dict_roundtrip():
@@ -258,21 +263,22 @@ def test_run_experiment_deterministic_bytes(tmp_path):
 
 # sha256 of predictions.csv and trace.csv. The writers may not move a byte; the
 # helix and parabolic pins were re-recorded when the RLS update of AiseFilter moved
-# to square-root covariance form, and again when the ABG gains came to be solved
-# from the Riccati equation in place of iterating it: each changes the estimates
-# in their last bits. The parabolic predictions pin was re-recorded when every
-# prediction came to anchor on the measured position: its config had anchored on
-# the AISE position estimate. Its trace.csv pin held, as no estimate moved.
+# to square-root covariance form, when the ABG gains came to be solved from the
+# Riccati equation in place of iterating it, and when they came to be computed in
+# closed form from the tracker's poles: each changes the estimates in their last
+# bits. The parabolic predictions pin was re-recorded when every prediction came to
+# anchor on the measured position: its config had anchored on the AISE position
+# estimate. Its trace.csv pin held, as no estimate moved.
 PINNED_ARTIFACTS = {
     "helix": (
         dict(scenario="helical", n_steps=600, k0=300, horizon=50, seed=11),
-        "75a91f71a72e240f0c8151fc9c854d02f1c19445dcdd76b8c2bde26022f2335e",
-        "55aa16048fa4d26202ec18514bddc158cd0cdfb2bc9e21cd371b68adfaf8fc3c",
+        "71e2e60deddf1c93794b94173895723fbeaafcad414a8e1f02fd0912b0d60a9d",
+        "aa37aeec95b183a05d9f4e8793647ea81249fa5de93239630af6031f78122fa6",
     ),
     "parabolic": (
         dict(scenario="parabolic", n_steps=600, k0=300, horizon=50, seed=11),
-        "9dd06b969139c59259e383ad9510c52a032097fbdaf676d2bfc9ec26aa0cf077",
-        "5f0015bb950a428fd8f1a136ced0fd2d77e26646854622c1ed88bdc69e41ce18",
+        "4ade63cb59e9fedd6903b1dcadedea361bc9718d026399f7b6a237d3841eb376",
+        "4acb8e2fe8cd47c06b8141fc652d11c28fe0e584e17cbe4bb72d256b900a110b",
     ),
     # Recorded while every /va method still formatted its own prediction set.
     "truth": (
@@ -347,11 +353,12 @@ def test_run_experiment_rejects_short_csv(tmp_path):
 
 # sha256 of report.json and manifest.json for the PINNED_ARTIFACTS configs. The manifest
 # pins, and the parabolic report pin, were re-recorded with the parabolic predictions pin:
-# each manifest lost the retired anchor option's key.
+# each manifest lost the retired anchor option's key. The helix and parabolic report pins
+# move with the ABG gains, as their predictions pins do.
 PINNED_JSON_ARTIFACTS = {
-    "helix": ("cbaec76d4c63addfa8883774e2da7f6b3044cf016a044cea4d95010b391196c8",
+    "helix": ("493cc5b3c3d00d5936ffa3b778fa0cdf3d26c56693d258417cb54c310a7a7ea7",
               "dc34acce7606c0d05e85cc953a1802e520c7d1942b7a8ad81b87076ad28cb529"),
-    "parabolic": ("afd8ca18d8180fef0cb084588afe864f2f42c7627dcc175cbf07a16b4bdc4cc4",
+    "parabolic": ("c0963bbde3b1aa66a68e0b80840ce9dacf2f3be119d88aa2c12a0e86cb5a4591",
                   "0195f5450be5109d2f3e428ec357d6ada7a783b957011d9d6ffa6ec7ad2abb1f"),
     "truth": ("fff78320a15fbc22f94fd23110d57b1ab76f6e7c4c6909f420dd2838e3e0982f",
               "ad2d719f98fbcddcd9abab2386544f622dfc69207f439484e6fe51109248212d"),
