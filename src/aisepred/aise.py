@@ -33,7 +33,6 @@ __all__ = [
     "AiseFilter",
     "CheckpointVersionError",
     "InvalidSample",
-    "StepDiagnostics",
     "NumericalInvariantError",
     "benchmark_config",
     "f_critical",
@@ -174,23 +173,6 @@ def benchmark_config(order, t_s=0.01):
     if order == 2:
         return AiseConfig(order=2, t_s=t_s, r_theta=3e-1, eta_rule="floor")
     return AiseConfig(order=3, t_s=t_s, r_theta=1e-1, beta=0.5, eta_rule="scaled")
-
-
-@dataclass
-class StepDiagnostics:
-    """Internal quantities of the most recent step, for logging and tests."""
-
-    k: int
-    z: float
-    d_hat: float
-    phi: np.ndarray
-    phi_f: np.ndarray
-    dhat_f: float
-    lam: float
-    eta: float
-    v2: float
-    s_hat: float | None
-    forecast_var: float | None
 
 
 def _half_gamma(k):
@@ -351,7 +333,6 @@ class AiseFilter:
         self.eta_k = cfg.eta_init
         self.v2_k = 1.0
         self.lambda_k = 1.0
-        self.last = None
 
     @property
     def P_sqrt(self):
@@ -520,7 +501,8 @@ class AiseFilter:
     def step(self, y):
         """Process one measurement; returns the derivative estimate for this step.
 
-        A step that raises (InvalidSample, NumericalInvariantError) leaves the filter unchanged.
+        Its values live in the state it commits: z_hist[0], dhat_hist[0], phi_hist[0], lambda_k,
+        eta_k and v2_k. A step that raises (InvalidSample, NumericalInvariantError) changes nothing.
         """
         cfg = self.cfg
         y = float(y)
@@ -568,10 +550,6 @@ class AiseFilter:
         self.phi_hist[0] = phi
 
         self.lambda_k = lam
-        self.last = StepDiagnostics(
-            k=self.k, z=z, d_hat=d_hat, phi=phi, phi_f=phi_f, dhat_f=dhat_f,
-            lam=lam, eta=eta, v2=v2, s_hat=s_hat, forecast_var=forecast_var,
-        )
         self.k += 1
         return d_hat
 
@@ -602,15 +580,16 @@ class AiseFilter:
             raise ValueError(f"malformed checkpoint: missing {missing}, unknown {unknown}")
         filt = cls(from_fields(AiseConfig, state["config"]))
         for key in _CHECKPOINT:
-            # One rule for every state value: a JSON number, or nested lists of them, with
-            # the shape the fresh filter gives it. Arrays come back as floats.
+            # One rule for every state value: a finite JSON number (json reads NaN), or nested
+            # lists of them, with the shape the fresh filter gives it. Arrays come back as floats.
             shape, value = np.shape(getattr(filt, key)), state[key]
             try:
                 array = np.asarray(value)
             except ValueError:  # ragged lists
                 array = np.asarray(None)
-            if array.dtype.kind not in "if" or array.shape != shape:
-                raise ValueError(f"malformed checkpoint: {key!r} is not numbers of shape {shape}")
+            if array.dtype.kind not in "if" or array.shape != shape or not np.isfinite(array).all():
+                raise ValueError(
+                    f"malformed checkpoint: {key!r} is not finite numbers of shape {shape}")
             setattr(filt, key, array.astype(float) if array.ndim else value)
         if type(state["k"]) is not int or state["k"] < 0:
             raise ValueError("malformed checkpoint: 'k' is not a non-negative integer")

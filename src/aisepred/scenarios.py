@@ -86,7 +86,8 @@ def add_noise(p, sigma, seed):
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-# Absolute tolerance on sample-spacing uniformity, in seconds.
+# Absolute tolerance on sample-spacing uniformity, in seconds, to which the reader adds two
+# units in the last place of the largest time: each parsed time is within half of one.
 _SPACING_TOL = 1e-9
 
 
@@ -138,7 +139,7 @@ def read_timeseries_csv(path_or_file):
         if not ok.all():
             bad = lines[int(np.argmin(ok))]
             raise ValueError(f"line {bad}: time column must be strictly increasing")
-        off = np.abs(dt - dt[0]) > _SPACING_TOL
+        off = np.abs(dt - dt[0]) > _SPACING_TOL + 2 * math.ulp(max(abs(t[0]), abs(t[-1])))
         if off.any():
             bad = int(np.argmax(off))
             raise ValueError(f"line {lines[bad + 1]}: non-uniform sample spacing "

@@ -3,9 +3,11 @@
 They deliberately avoid the library's closed-form code paths: rotations come
 from a truncated power series, integrals from Simpson quadrature, and the
 alpha-beta-gamma tracker's poles from the eigenvalues of its error dynamics.
+step_record reads the values of one AiseFilter step from the state around it.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,3 +66,19 @@ def abg_error_dynamics_eigenvalues(alpha, beta, gamma, t_s):
     K = np.array([alpha, beta / t_s, 2.0 * gamma / t_s**2])
     closed = A @ (np.eye(3) - np.outer(K, [1.0, 0.0, 0.0]))
     return np.linalg.eigvals(closed)
+
+
+def step_record(filt, y):
+    """Step filt on y and return the step's values: d_hat as step returns it, the filtered
+    regressor and the forecast variance from the state before the step, the rest from the
+    state it commits. s_hat and forecast_var are None on the steps where the filter has none
+    (k < 1 and k < adapt_start, k counting earlier steps).
+    """
+    k = filt.k
+    phi_f, dhat_f = filt.filter_regressor()
+    forecast_var = filt._forecast_var() if k >= filt.adapt_start else None
+    d_hat = filt.step(y)
+    return SimpleNamespace(
+        k=k, z=float(filt.z_hist[0]), d_hat=d_hat, phi=filt.phi_hist[0].copy(),
+        phi_f=phi_f, dhat_f=dhat_f, lam=filt.lambda_k, eta=filt.eta_k, v2=filt.v2_k,
+        s_hat=filt.res_m2 / k if k >= 1 else None, forecast_var=forecast_var)

@@ -16,7 +16,7 @@ from aisepred.frenet import frenet_model, fs_predict, gamma0, gamma1
 from aisepred.harness import ExperimentConfig, run_experiment
 from aisepred.prediction import va_predict
 from aisepred.scenarios import add_noise, truth_arrays
-from reference import series_rotation_exp, simpson_rotation_integral
+from reference import series_rotation_exp, simpson_rotation_integral, step_record
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -124,13 +124,15 @@ def test_criterion_05_estimator_invariant_suite():
     sample_every = n_steps // 200
     minimizer_checks = 0
     for k, y in enumerate(ys):
-        filt.step(y)  # P_rls = S S^T is definite by construction; each step checks finiteness
+        d = None
+        if k % sample_every:
+            filt.step(y)  # P_rls = S S^T is definite by construction; each step checks finiteness
+        else:  # a sampled step also reads the inputs of its noise levels
+            d = step_record(filt, y)
         assert 0.0 < filt.lambda_k <= 1.0, f"lambda out of range at step {k}"
         assert cfg.eta_l <= filt.eta_k <= cfg.eta_u, f"eta out of range at step {k}"
         assert filt.v2_k >= 0.0, f"V2 negative at step {k}"
-        if k % sample_every == 0 and filt.last.s_hat is not None \
-                and filt.last.forecast_var is not None:
-            d = filt.last
+        if d is not None and d.s_hat is not None and d.forecast_var is not None:
             surplus = d.s_hat - d.forecast_var - filt._eta_grid
             candidate = np.where(surplus > 0, surplus, 0.0)
             enumerated = np.abs(surplus - candidate).min()
@@ -218,8 +220,7 @@ def test_criterion_09_batch_rls_equivalence():
         rng = np.random.default_rng(100 + order)
         records = []
         for y in rng.normal(size=n_steps):
-            filt.step(y)
-            d = filt.last
+            d = step_record(filt, y)
             records.append((d.phi.copy(), d.phi_f.copy(), d.z, d.dhat_f))
         lt = cfg.l_theta
         G = cfg.r_theta * np.eye(lt)

@@ -16,6 +16,7 @@ from aisepred.aise import (
     from_fields,
     vrf_lambda,
 )
+from reference import step_record
 
 
 def make_filter(**overrides):
@@ -101,17 +102,16 @@ def test_benchmark_config_orders():
 def test_estimate_input_zero_theta():
     f = make_filter()
     f.x_fc = np.array([1.0])
-    f.step(0.0)  # residual z = 1.0 enters the regressor
-    assert f.last.z == 1.0
-    assert f.last.d_hat == 0.0
+    d = step_record(f, 0.0)  # residual z = 1.0 enters the regressor
+    assert d.z == 1.0
+    assert d.d_hat == 0.0
 
 
 def test_estimate_input_single_tap():
     f = make_filter(n_e=2)
     f.dhat_hist[0] = 1.0  # phi[0] = 1
     f.theta = np.array([0.7, 0.0, 0.0, 0.0, 0.0])
-    f.step(0.0)
-    assert f.last.d_hat == pytest.approx(0.7)
+    assert step_record(f, 0.0).d_hat == pytest.approx(0.7)
 
 
 def test_estimate_input_dot_product():
@@ -121,9 +121,9 @@ def test_estimate_input_dot_product():
     f.z_hist[0] = 1.0
     f.x_fc = np.array([2.0])
     f.theta = np.array([0.1, 0.2, 0.3])
-    f.step(0.0)  # z(k) = 2.0 - 0.0
-    np.testing.assert_array_equal(f.last.phi, [0.5, 2.0, 1.0])
-    assert f.last.d_hat == pytest.approx(0.75)
+    d = step_record(f, 0.0)  # z(k) = 2.0 - 0.0
+    np.testing.assert_array_equal(d.phi, [0.5, 2.0, 1.0])
+    assert d.d_hat == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_estimate_input_dot_product():
 
 def test_forecast_all_zero():
     f = make_filter()
-    f.step(0.0)
-    assert f.last.z == 0.0 and f.last.d_hat == 0.0
+    d = step_record(f, 0.0)
+    assert d.z == 0.0 and d.d_hat == 0.0
     np.testing.assert_array_equal(f.x_fc, [0.0])
 
 
@@ -146,8 +146,8 @@ def test_forecast_order1_hand_value():
     f.dhat_hist[0] = 1.0
     f.theta = np.zeros(f.cfg.l_theta)
     f.theta[0] = 3.0
-    f.step(2.0)
-    assert f.last.z == 0.0 and f.last.d_hat == 3.0
+    d = step_record(f, 2.0)
+    assert d.z == 0.0 and d.d_hat == 3.0
     np.testing.assert_array_equal(f.x_da, [2.0])
     assert f.x_fc[0] == pytest.approx(2.03)
 
@@ -156,8 +156,7 @@ def test_forecast_residual_definition():
     # z = forecast output - measurement
     f = make_filter()
     f.x_fc = np.array([1.5])
-    f.step(1.0)
-    assert f.last.z == pytest.approx(0.5)
+    assert step_record(f, 1.0).z == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +545,7 @@ def test_batch_least_squares_equivalence():
     rng = np.random.default_rng(8)
     records = []
     for y in rng.normal(size=50):
-        f.step(y)
-        d = f.last
+        d = step_record(f, y)
         records.append((d.phi.copy(), d.phi_f.copy(), d.z, d.dhat_f))
         assert d.lam == 1.0
     lt = cfg.l_theta

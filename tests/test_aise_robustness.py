@@ -21,6 +21,7 @@ from aisepred.aise import (
     vrf_lambda,
 )
 from aisepred.scenarios import add_noise, truth_arrays
+from reference import step_record
 
 N_STREAM = 160
 
@@ -53,8 +54,7 @@ def test_floor_rule_adapts_only_v2(order):
     assert f.cfg.eta_rule == "floor"
     adapted = 0
     for y in bursty_stream(3, 400):
-        f.step(y)
-        last = f.last
+        last = step_record(f, y)
         if last.k < f.adapt_start:
             continue
         adapted += 1
@@ -349,9 +349,14 @@ def test_small_window_checkpoint_bytes_are_pinned():
     (lambda state: state.update(k=7.5), "k"),
     (lambda state: state.update(k=True), "k"),
     (lambda state: state.update(k=-1), "k"),
+    # json reads NaN and Infinity; a filter restored with one could never step again.
+    (lambda state: state["theta"].__setitem__(0, float("nan")), "theta"),
+    (lambda state: state["P_sqrt"][1].__setitem__(1, float("inf")), "P_sqrt"),
+    (lambda state: state.update(res_m2=float("nan")), "res_m2"),
 ], ids=["missing-z_hist", "missing-config", "unknown-key", "unknown-config-field",
         "short-z_hist", "short-theta", "string-k", "null-res_mean", "list-eta_k",
-        "ragged-phi_hist", "string-in-P_sqrt", "float-k", "bool-k", "negative-k"])
+        "ragged-phi_hist", "string-in-P_sqrt", "float-k", "bool-k", "negative-k",
+        "nan-theta", "inf-P_sqrt", "nan-res_m2"])
 def test_malformed_checkpoint_is_rejected(edit, key):
     f = AiseFilter(benchmark_config(2))
     for y in bursty_stream(5)[:30]:
@@ -400,7 +405,7 @@ STEP_PIN_CONFIGS = {
 }
 
 # sha256 over every step of bursty_stream(6, 1200) and the x and z helix columns
-# (seed 8, 1200 samples) of the estimate and each field of `last`, with the filter
+# (seed 8, 1200 samples) of the estimate and each field of its step_record, with the filter
 # replaced by its restored checkpoint at step 600. They do not depend on the checkpoint
 # format, so a change to what a checkpoint holds must leave them as they are. The
 # small-window-o3 and long-vrf-o2 pins were re-recorded when vrf_lambda's variances came to
@@ -433,7 +438,8 @@ def test_every_step_is_pinned(name):
     for ys in (bursty_stream(6, 1200), helix_column(0, 8, 1200), helix_column(2, 8, 1200)):
         f = AiseFilter(STEP_PIN_CONFIGS[name])
         for i, y in enumerate(ys):
-            estimate, last = f.step(y), f.last
+            last = step_record(f, y)
+            estimate = last.d_hat
             fields = [estimate, last.k, last.z, last.d_hat, last.dhat_f, last.lam,
                       last.eta, last.v2, last.s_hat, last.forecast_var]
             values.update(repr([v if v is None else float(v) for v in fields]).encode())
@@ -488,8 +494,7 @@ def test_covariance_form_tracks_the_information_form(name):
         f = AiseFilter(STEP_PIN_CONFIGS[name])
         reference = InformationFormRls(f.cfg)
         for y in ys:
-            f.step(y)
-            last = f.last
+            last = step_record(f, y)
             reference.update(last.lam, last.phi, last.phi_f, last.z, last.dhat_f)
             forgetting += last.lam < 1.0
             assert_close(f.theta, reference.theta, last.k, reference.p_inv)

@@ -141,6 +141,33 @@ def test_nonuniform_spacing_rejected_with_line_number():
         read_positions_csv(buf)
 
 
+def epoch_stamped_csv(shift=lambda k: 0.0):
+    """A 100 Hz t,x,y,z CSV stamped in seconds from 1700000000, row k moved by shift(k) s."""
+    rows = (f"{1_700_000_000 + k / 100 + shift(k):.3f},0,0,0\n" for k in range(400))
+    return io.StringIO("t,x,y,z\n" + "".join(rows))
+
+
+def test_uniform_epoch_stamps_read_as_uniform():
+    # One unit in the last place of 1.7e9 is 2.4e-7 s, so parsed spacings differ by that
+    # much; the tolerance adds two such units, and t_s is still the first spacing.
+    t, positions = read_positions_csv(epoch_stamped_csv())
+    assert positions.shape == (400, 3)
+    assert t[1] - t[0] == 1_700_000_000.01 - 1_700_000_000.0
+    assert np.ptp(np.diff(t)) > 1e-9
+
+
+@pytest.mark.parametrize("shift, message", [
+    (lambda k: 0.001 * (k == 7),
+     "line 9: non-uniform sample spacing (0.01100015640258789 s vs 0.009999990463256836 s)"),
+    (lambda k: 0.015 * (k >= 2),
+     "line 4: non-uniform sample spacing (0.02500009536743164 s vs 0.009999990463256836 s)"),
+], ids=["1ms-jitter", "25ms-step"])
+def test_non_uniform_epoch_stamps_are_refused(shift, message):
+    with pytest.raises(ValueError) as error:
+        read_positions_csv(epoch_stamped_csv(shift))
+    assert str(error.value) == message
+
+
 def test_nonincreasing_time_rejected():
     buf = io.StringIO("t,x,y,z\n0.0,0,0,0\n0.01,0,0,0\n0.01,0,0,0\n")
     with pytest.raises(ValueError, match="strictly increasing"):
