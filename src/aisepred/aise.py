@@ -343,6 +343,7 @@ class AiseFilter:
     def P_sqrt(self, value):  # stored as a C-ordered copy, which dger can update in place
         self._p_sqrt = np.array(value, dtype=float, order="C")
         self._s_spare = np.empty_like(self._p_sqrt)  # scratch, not state: the next P_sqrt
+        self._tiny = np.full(self._p_sqrt.size, 2.0**-64)  # scratch: rls_update's finite check
 
     @property
     def p_inv(self):
@@ -374,7 +375,7 @@ class AiseFilter:
     def filter_regressor(self):
         """Filtered regressor row and filtered input estimate over the last n_f steps."""
         H = self._filter_weights()
-        return np.dot(H, self.phi_hist), float(np.dot(H, self.dhat_hist[: self.cfg.n_f]))
+        return H.dot(self.phi_hist), float(H.dot(self.dhat_hist[: self.cfg.n_f]))
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
         """Forgetting/resetting RLS step on S, S S^T = inv(p_inv), and the coefficients.
@@ -391,9 +392,9 @@ class AiseFilter:
         """
         cfg = self.cfg
         s_old, s_new = self._p_sqrt, self._s_spare
-        np.copyto(s_new, s_old)
+        s_new[...] = s_old
         if lam != 1.0:
-            gram = (1.0 - lam) * cfg.r_inf * np.dot(s_old.T, s_old)
+            gram = (1.0 - lam) * cfg.r_inf * s_old.T.dot(s_old)
             gram.ravel()[:: len(gram) + 1] += lam
             factor, info = _POTRF(gram.T, lower=1, clean=0, overwrite_a=1)  # gram is symmetric
             if info != 0:
@@ -401,15 +402,17 @@ class AiseFilter:
             dtrsm(1.0, factor, s_new.T, side=0, lower=1, overwrite_b=1)  # S^T <- R^-1 S^T
         theta = self.theta
         for weight, v, offset in ((cfg.r_z, phi_f, z - dhat_f), (cfg.r_d, phi, 0.0)):
-            f = np.dot(v, s_new)
-            g = np.dot(s_new, f)
-            den = 1.0 / weight + float(np.dot(f, f))
+            f = v.dot(s_new)
+            g = s_new.dot(f)
+            den = 1.0 / weight + float(f.dot(f))
             if not 0.0 < den < math.inf:
                 raise NumericalInvariantError(self.k, "RLS update is not finite")
-            theta = theta - g * ((offset + float(np.dot(v, theta))) / den)
+            theta = theta - g * ((offset + float(v.dot(theta))) / den)
             # S^T - f g^T / (den + sqrt(den / w)) in place, on the F-ordered view of S.
             dger(-1.0 / (den + math.sqrt(den / weight)), f, g, a=s_new.T, overwrite_a=1)
-        if not (np.isfinite(s_new).all() and np.isfinite(theta).all()):
+        # A NaN or an infinity in S or theta makes this weighted sum non-finite, and at weight
+        # 2^-64 no finite state can overflow it: the sum is below 2^-64 * size * DBL_MAX.
+        if not math.isfinite(s_new.ravel().dot(self._tiny) + theta.dot(self._tiny[: len(theta)])):
             raise NumericalInvariantError(self.k, "RLS update is not finite")
         self.theta, self._p_sqrt, self._s_spare = theta, s_new, s_old
 
@@ -451,17 +454,17 @@ class AiseFilter:
             return float(grid[0]), 0.0
         if cfg.eta_rule == "floor":
             return float(grid[0]), float(c - grid[0])
-        m = int(np.searchsorted(grid, c))
+        m = int(grid.searchsorted(c))
         if cfg.eta_rule == "scaled":
             anchor = min(max(cfg.t_s**2 * s_hat, cfg.eta_l), cfg.eta_u)
-            idx = int(np.argmin(np.abs(self._log_eta_grid[:m] - np.log(anchor))))
+            idx = int(np.abs(self._log_eta_grid[:m] - np.log(anchor)).argmin())
         else:
             target = cfg.beta * (c - grid[m - 1]) + (1.0 - cfg.beta) * (c - grid[0])
-            idx = int(np.argmin(np.abs((c - grid[:m]) - target)))
+            idx = int(np.abs((c - grid[:m]) - target).argmin())
         return float(grid[idx]), float(c - grid[idx])
 
     def _forecast_var(self):
-        return float(np.dot(np.dot(self.model.A[0], self.P_da), self.model.A[0]))
+        return float(self.model.A[0].dot(self.P_da).dot(self.model.A[0]))
 
     def _innovation_var(self, v2):
         """Variance of the residual, P_fc[0, 0] + v2; raises unless it is positive."""
@@ -479,19 +482,23 @@ class AiseFilter:
         A = self.model.A
         gain = self.P_fc[:, 0] / -self._innovation_var(v2)
         self.x_da = self.x_fc + gain * z
-        P_da = self.P_fc + gain[:, None] * self.P_fc[0]
-        self.P_da = 0.5 * (P_da + P_da.T)
+        # Built and symmetrized in place: numpy reads an overlapping operand (P += P.T) as a copy.
+        self.P_da = P_da = np.multiply.outer(gain, self.P_fc[0])
+        P_da += self.P_fc
+        P_da += P_da.T
+        P_da *= 0.5
         if self.k >= 1:
             # Closed-loop matrix A(I + K C): A with its first column shifted by A @ K.
-            self._abar[:, 0] = A[:, 0] + np.dot(A, gain)
+            self._abar[:, 0] = A[:, 0] + A.dot(gain)
             # Row j becomes abar @ (old row j - 1), shifted in place: numpy gives
             # overlapping operands the non-overlapping result.
             W = self.loop_weights
             np.matmul(W[:-1], self._abar.T, out=W[1:])
-            W[0] = np.dot(self._abar, self.model.B)
-        P_fc = np.dot(np.dot(A, self.P_da), A.T)
-        P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: np.dot returns a C-ordered array
-        self.P_fc = 0.5 * (P_fc + P_fc.T)
+            W[0] = self._abar.dot(self.model.B)
+        self.P_fc = P_fc = A.dot(P_da).dot(A.T)
+        P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: dot returns a C-ordered array
+        P_fc += P_fc.T
+        P_fc *= 0.5
         return self.x_da, gain, self.P_da, self.P_fc
 
     # ------------------------------------------------------------------
@@ -516,7 +523,7 @@ class AiseFilter:
         phi[: cfg.n_e] = self.dhat_hist[: cfg.n_e]
         phi[cfg.n_e] = z
         phi[cfg.n_e + 1 :] = self.z_hist[: cfg.n_e]
-        d_hat = float(np.dot(phi, self.theta))
+        d_hat = float(phi.dot(self.theta))
         phi_f, dhat_f = self.filter_regressor()
 
         if self.k < cfg.tau_d:
@@ -542,7 +549,7 @@ class AiseFilter:
         self.eta_k, self.v2_k = eta, v2
 
         self.data_assimilate(z, eta, v2)
-        self.x_fc = np.dot(self.model.A, self.x_da) + self.model.B * d_hat
+        self.x_fc = self.model.A.dot(self.x_da) + self.model.B * d_hat
 
         self.dhat_hist[1:] = self.dhat_hist[:-1]
         self.dhat_hist[0] = d_hat

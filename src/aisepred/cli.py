@@ -15,7 +15,7 @@ from .aise import AiseFilter
 from .harness import (ExperimentConfig, estimate, load_config, method_family, normalize_method,
                       run_experiment, tuned_aise_config)
 from .prediction import DerivativeEstimate, predict
-from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv
+from .scenarios import format_csv_lines, read_positions_csv, read_timeseries_csv, sample_time
 
 
 def build_parser():
@@ -68,7 +68,7 @@ def _output(path):
 
 def _cmd_differentiate(args):
     t, cols = read_timeseries_csv(args.csv_in)
-    t_s = float(t[1] - t[0])
+    t_s = sample_time(t)
     overrides = {}
     if args.config:
         with open(args.config) as fh:
@@ -85,7 +85,7 @@ def _cmd_differentiate(args):
 def _cmd_predict(args):
     method = normalize_method(args.method)
     t, P = read_positions_csv(args.csv_in)
-    t_s = float(t[1] - t[0])
+    t_s = sample_time(t)
     config = ExperimentConfig(t_s=t_s, tracking_index=args.tracking_index)
     family = method_family(method)
     record = estimate(P, config, {family}, jerk=method == "AISE/FS")[family]

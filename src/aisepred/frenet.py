@@ -100,8 +100,7 @@ def frenet_model(v, a, j):
     v, a, j = (np.asarray(x, dtype=float) for x in (v, a, j))
     checked = speed, cross, cross_norm = _check_nondegenerate(v, a)
     _, curvature, torsion = _scalars(v, a, j, *checked)
-    R = np.column_stack([v / speed, _cross(v, _cross(a, v)) / (speed * cross_norm),
-                         cross / cross_norm])
+    R = np.array([v / speed, _cross(v, _cross(a, v)) / (speed * cross_norm), cross / cross_norm]).T
     omega = np.array([speed * torsion, 0.0, speed * curvature])
     return FrenetModel(R=R, u=speed, kappa_t=curvature, tau_t=torsion, omega=omega)
 
@@ -133,7 +132,7 @@ def _project_rotation(M):
     """Nearest rotation matrix in the Frobenius sense (polar projection)."""
     U, _, Vt = np.linalg.svd(M)
     R = U @ Vt
-    if np.linalg.det(R) < 0:
+    if R[:, 0].dot(_cross(R[:, 1], R[:, 2])) < 0:  # det R, the columns' triple product, is +-1
         R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
     return R
 
@@ -157,12 +156,13 @@ def fs_predict(p_k, model, horizon, t_s):
     local_step = t_s * step_integral @ np.array([model.u, 0.0, 0.0])
 
     frames = np.empty((horizon, 3, 3))
-    frames[0] = prev = model.R
-    # np.dot into each slot: the same BLAS product as `@`, without a new array.
+    frames[0] = model.R
+    prev = frames[0]
+    # dot into each slot: the same BLAS product as `@`, without a new array.
     for i, cur in enumerate(frames[1:], start=1):
-        np.dot(prev, step_rot, out=cur)
+        prev.dot(step_rot, out=cur)
         if i % _RENORM_EVERY == 0:
             cur[...] = _project_rotation(cur)
         prev = cur
-    summed = np.cumsum(frames, axis=0)
+    summed = frames.cumsum(axis=0)
     return p_k + summed @ local_step

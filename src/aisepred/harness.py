@@ -29,7 +29,8 @@ from .baselines import AbgFilter, BdbDifferentiator, abg_gains, check_butterwort
 from .frenet import DegenerateGeometry, scalar_params
 from .integrators import check_sample_time
 from .prediction import METHODS, DerivativeEstimate, predict
-from .scenarios import SCENARIOS, add_noise, format_csv_lines, read_positions_csv, truth_arrays
+from .scenarios import (SCENARIOS, add_noise, format_csv_lines, read_positions_csv, sample_time,
+                        truth_arrays)
 
 __all__ = [
     "ExperimentConfig",
@@ -205,7 +206,7 @@ def _load_scenario(config):
             raise ValueError(
                 f"CSV provides {len(P)} rows; need k0 + horizon < {n_steps}"
             )
-        t_s = float(t[1] - t[0])
+        t_s = sample_time(t)
         return P, None, None, None, n_steps, t_s
     P, V, A, J = truth_arrays(config.scenario, config.n_steps, config.t_s)
     return P, V, A, J, config.n_steps, config.t_s

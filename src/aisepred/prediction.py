@@ -6,6 +6,7 @@ additionally needs jerk. Degenerate geometry makes the Frenet method fall
 back to the second-order one, flagged on the returned trace.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,16 +45,23 @@ class PredictionTrace:
             )
 
 
+@functools.lru_cache(maxsize=16)
+def _va_grid(horizon, t_s):
+    """Read-only columns l * t_s and 0.5 * (l * t_s)**2, l = 1..horizon, shared by every call."""
+    lt = np.arange(1, horizon + 1)[:, None] * t_s
+    half_lt2 = 0.5 * lt**2
+    lt.flags.writeable = half_lt2.flags.writeable = False
+    return lt, half_lt2
+
+
 def va_predict(p_k, v_k, a_k, horizon, t_s, anchor_step=0, method="AISE/va",
                fallback_used=False):
     """Constant-velocity/acceleration extrapolation from the anchor position."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    p_k = np.asarray(p_k, dtype=float)
-    v_k = np.asarray(v_k, dtype=float)
-    a_k = np.asarray(a_k, dtype=float)
-    lt = np.arange(1, horizon + 1)[:, None] * t_s
-    positions = p_k + lt * v_k + 0.5 * lt**2 * a_k
+    p_k, v_k, a_k = (np.asarray(x, dtype=float) for x in (p_k, v_k, a_k))
+    lt, half_lt2 = _va_grid(horizon, t_s)
+    positions = p_k + lt * v_k + half_lt2 * a_k
     return PredictionTrace(anchor_step=anchor_step, horizon=horizon, method=method,
                            positions=positions, fallback_used=fallback_used)
 

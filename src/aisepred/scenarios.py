@@ -21,6 +21,7 @@ __all__ = [
     "add_noise",
     "read_timeseries_csv",
     "read_positions_csv",
+    "sample_time",
 ]
 
 SCENARIOS = ("parabolic", "helical")
@@ -153,6 +154,12 @@ def read_timeseries_csv(path_or_file):
     finally:
         if close:
             fh.close()
+
+
+def sample_time(t):
+    """Mean spacing of the uniform times t: a parsed time's rounding error (up to half an ulp)
+    is shared among all len(t) - 1 steps, where the first spacing t[1] - t[0] carries it whole."""
+    return float(t[-1] - t[0]) / (len(t) - 1)
 
 
 def read_positions_csv(path_or_file):

@@ -2,8 +2,8 @@
 
 They deliberately avoid the library's closed-form code paths: rotations come
 from a truncated power series, integrals from Simpson quadrature, and the
-alpha-beta-gamma tracker's poles from the eigenvalues of its error dynamics.
-step_record reads the values of one AiseFilter step from the state around it.
+alpha-beta-gamma tracker's poles from the eigenvalues of its error dynamics,
+and the polar projection's reflection test from np.linalg.det. step_record reads the values of one AiseFilter step from the state around it.
 """
 
 import math
@@ -57,6 +57,15 @@ def simpson_rotation_integral(w, t_s, panels=10_000):
     weights[2:-1:2] = 2.0
     h = t_s / panels
     return (h / 3.0) * np.einsum("i,ijk->jk", weights, mats)
+
+
+def project_rotation_det(M):
+    """Nearest rotation to M by the polar projection, reflected when np.linalg.det says so."""
+    U, _, Vt = np.linalg.svd(M)
+    R = U @ Vt
+    if np.linalg.det(R) < 0:
+        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    return R
 
 
 def abg_error_dynamics_eigenvalues(alpha, beta, gamma, t_s):

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,66 @@ def test_failed_rls_update_leaves_step_state_unchanged(order):
     f.P_sqrt = good
     assert f.step(0.5) == twin.step(0.5)
     assert f.to_json() == twin.to_json()
+
+
+@pytest.mark.parametrize("big", ["P_sqrt", "theta"])
+def test_finite_state_whose_sum_would_overflow_is_accepted(big):
+    # rls_update finds a NaN or an infinity in S and theta by one weighted sum of each. Its
+    # 2^-64 weights keep the sum of a finite state finite where a plain sum overflows, with no
+    # overflow warning. With zero regressors and residual the update leaves the state alone.
+    f = AiseFilter(AiseConfig(n_e=1))
+    S, theta = np.eye(3), np.array([1.0, -2.0, 3.0])
+    if big == "P_sqrt":
+        S = np.full((3, 3), 1e308)
+    else:
+        theta = np.array([1e308, 1e308, 3.0])
+    f.P_sqrt, f.theta = S, theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f.rls_update(1.0, np.zeros(3), np.zeros(3), 0.0, 0.0)
+    np.testing.assert_array_equal(f.P_sqrt, S)
+    np.testing.assert_array_equal(f.theta, theta)
+
+
+@pytest.mark.parametrize("key, bad", [("theta", np.nan), ("P_sqrt", np.inf)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_non_finite_rls_state_is_refused(order, key, bad):
+    # A NaN coefficient or an infinite entry of S makes the update non-finite; the step
+    # raises and commits nothing.
+    f = AiseFilter(benchmark_config(order))
+    for y in bursty_stream(3)[:60]:
+        f.step(y)
+    value = getattr(f, key).copy()
+    value.flat[7] = bad
+    setattr(f, key, value)
+    snapshot = {name: np.copy(getattr(f, name)) for name in ("theta", "P_sqrt", "x_fc", "x_da",
+                "P_fc", "P_da", "dhat_hist", "z_hist", "phi_hist", "loop_weights")}
+    with pytest.raises(NumericalInvariantError, match="RLS update is not finite"):
+        f.step(0.5)
+    for name, array in snapshot.items():
+        np.testing.assert_array_equal(getattr(f, name), array)
+    assert f.k == 60
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_rls_update_checks_a_state_of_any_size(size):
+    # The sums that find a non-finite state are sized from the assigned S, not from the
+    # config's l_theta = 5. With S = I and theta = 0 the update has the information form
+    # p_inv = I + r_z phi_f phi_f^T + r_d phi phi^T and theta = -solve(p_inv, r_z phi_f residual).
+    cfg = AiseConfig(n_e=2)
+    phi, phi_f = np.linspace(-1.0, 1.0, size), np.linspace(0.5, 2.0, size)
+    f = AiseFilter(cfg)
+    f.P_sqrt, f.theta = np.eye(size), np.zeros(size)
+    f.rls_update(1.0, phi, phi_f, -1.0, 0.0)
+    p_inv = np.eye(size) + cfg.r_z * np.outer(phi_f, phi_f) + cfg.r_d * np.outer(phi, phi)
+    np.testing.assert_allclose(f.p_inv, p_inv, rtol=1e-12)
+    np.testing.assert_allclose(f.theta, np.linalg.solve(p_inv, cfg.r_z * phi_f), rtol=1e-12)
+    S = f.P_sqrt.copy()
+    f.theta = np.full(size, np.nan)
+    with pytest.raises(NumericalInvariantError, match="RLS update is not finite"):
+        f.rls_update(1.0, phi, phi_f, -1.0, 0.0)
+    np.testing.assert_array_equal(f.P_sqrt, S)
+    assert np.isnan(f.theta).all()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

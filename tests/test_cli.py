@@ -148,6 +148,34 @@ def test_predict_subcommand_matches_stepped_filters(tmp_path, method):
     assert [r[1:] for r in rows] == [[repr(float(x)) for x in pos] for pos in expected]
 
 
+EPOCH_T = 1_700_000_000 + np.arange(301) / 100  # stamps whose first spacing is 9.5e-7 off
+
+
+@pytest.mark.parametrize("method", ["aise-fs", "bdb-va"])
+def test_predict_takes_the_mean_spacing_of_epoch_stamps(tmp_path, method):
+    P = add_noise(truth_arrays("helical", 300, 0.01)[0], 0.1, 3)
+    write_csv(tmp_path / "in.csv", EPOCH_T, {"x": P[:, 0], "y": P[:, 1], "z": P[:, 2]})
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(tmp_path / "in.csv"), "--method", method,
+                 "--horizon", "30", "--out", str(out)]) == 0
+    _, rows = read_columns(out)
+    t_s = (EPOCH_T[-1] - EPOCH_T[0]) / 300
+    assert t_s != EPOCH_T[1] - EPOCH_T[0]
+    expected = twin_prediction(P, normalize_method(method), 30, t_s)
+    assert [r[1:] for r in rows] == [[repr(float(x)) for x in pos] for pos in expected]
+
+
+def test_differentiate_takes_the_mean_spacing_of_epoch_stamps(tmp_path):
+    x = add_noise(truth_arrays("helical", 300, 0.01)[0][:, 0], 0.1, 4)
+    write_csv(tmp_path / "in.csv", EPOCH_T, {"x": x})
+    out = tmp_path / "out.csv"
+    assert main(["differentiate", str(tmp_path / "in.csv"), "--order", "3",
+                 "--out", str(out)]) == 0
+    _, rows = read_columns(out)
+    cfg = benchmark_config(3, (EPOCH_T[-1] - EPOCH_T[0]) / 300)
+    assert [r[1] for r in rows] == [repr(float(v)) for v in AiseFilter(cfg).run(x)]
+
+
 def test_experiment_cli_with_flags(tmp_path, capsys):
     code = main([
         "experiment", "--scenario", "parabolic", "--n-steps", "320",

@@ -7,6 +7,7 @@ from aisepred.frenet import (
     DegenerateGeometry,
     _cross,
     _norm,
+    _project_rotation,
     frenet_model,
     fs_predict,
     gamma0,
@@ -15,7 +16,7 @@ from aisepred.frenet import (
     scalar_params,
 )
 from aisepred.scenarios import truth_arrays
-from reference import series_rotation_exp, simpson_rotation_integral
+from reference import project_rotation_det, series_rotation_exp, simpson_rotation_integral
 
 
 def helix_at(k, t_s=0.01):
@@ -267,3 +268,19 @@ def test_frenet_model_degenerate_for_parallel_or_zero_velocity(v, c, j):
         frenet_model(v, c * v, j)
     with pytest.raises(DegenerateGeometry):
         frenet_model(np.zeros(3), v, j)
+
+
+def test_project_rotation_reflects_as_the_det_rule_does():
+    # The reflection branch reads the sign of the columns' triple product, which is det R;
+    # |det R| is 1 to rounding, so the branch is the one np.linalg.det picks.
+    rng = np.random.default_rng(11)
+    drifted = np.linalg.matrix_power(gamma0([0.3, -0.2, 0.5]), 64)
+    cases = [np.diag([1.0, 1.0, -1.0]), -np.eye(3), drifted, -drifted]
+    cases += [rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3) for _ in range(400)]
+    reflected = 0
+    for M in cases:
+        R = _project_rotation(M)
+        np.testing.assert_array_equal(R, project_rotation_det(M))
+        assert np.linalg.det(R) > 0
+        reflected += np.linalg.det(M) < 0  # the sign of det(U Vt)
+    assert reflected > 150

@@ -324,6 +324,22 @@ def test_csv_scenario_filters_use_the_csv_sample_time(tmp_path):
             np.testing.assert_array_equal(table[:, header.index(f"{key}{name}")], expected)
 
 
+def test_csv_scenario_takes_the_mean_spacing_of_epoch_stamps(tmp_path):
+    # The first spacing of these stamps is 9.5e-7 relative off 0.01 s; their mean spacing is
+    # the sample time of the filters and the manifest.
+    P = truth_arrays("helical", 320, 0.01)[0]
+    t = 1_700_000_000 + np.arange(321) / 100
+    path = tmp_path / "input.csv"
+    path.write_text("t,x,y,z\n" + format_csv_lines([t.tolist(), *P.T.tolist()]))
+    cfg = ExperimentConfig(scenario=f"csv:{path}", sigma=0.0, methods=("aise-va",), **SMALL)
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    t_s = (t[-1] - t[0]) / 320
+    assert t_s != t[1] - t[0]
+    assert manifest["config"]["t_s"] == t_s
+    assert all(manifest["config"]["aise"][f"order{o}"]["t_s"] == t_s for o in (1, 2, 3))
+
+
 def test_run_experiment_csv_scenario(tmp_path):
     t_s = 0.01
     P = truth_arrays("helical", 320, t_s)[0]

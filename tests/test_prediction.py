@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisepred.prediction import METHODS, DerivativeEstimate, PredictionTrace, predict, va_predict
+from aisepred.prediction import (METHODS, DerivativeEstimate, PredictionTrace, _va_grid, predict,
+                                 va_predict)
 from aisepred.scenarios import truth_arrays
 
 
@@ -24,6 +25,32 @@ def test_va_exact_on_parabola():
         tr = va_predict(P[k], V[k], A[k], 100, t_s, anchor_step=k)
         for l in (1, 50, 100):
             assert np.linalg.norm(tr.positions[l - 1] - P[k + l]) < 1e-9
+
+
+def va_oracle(p_k, v_k, a_k, horizon, t_s):
+    lt = np.arange(1, horizon + 1)[:, None] * t_s
+    return p_k + lt * v_k + 0.5 * lt**2 * a_k
+
+
+def test_va_grid_is_shared_read_only():
+    # The (l t_s, l^2 t_s^2 / 2) columns are cached per (horizon, t_s); a caller that writes
+    # to a returned trace writes to its own positions, never to the shared columns.
+    p, v, a = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.1, -1.0]), np.array([0.2, 9.8, 0.0])
+    first = va_predict(p, v, a, 50, 0.01)
+    expected = first.positions.copy()
+    first.positions[...] = 1e9
+    np.testing.assert_array_equal(va_predict(p, v, a, 50, 0.01).positions, expected)
+    for column in _va_grid(50, 0.01):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+
+
+@pytest.mark.parametrize("horizon, t_s", [(50, 0.01), (80, 0.01), (50, 0.02), (1, 0.5)])
+def test_va_each_horizon_and_sample_time_has_its_grid(horizon, t_s):
+    p, v, a = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.1, -1.0]), np.array([0.2, 9.8, 0.0])
+    for h, dt in [(50, 0.01), (horizon, t_s)]:  # a cached grid is there first
+        np.testing.assert_array_equal(va_predict(p, v, a, h, dt).positions,
+                                      va_oracle(p, v, a, h, dt))
 
 
 def test_invalid_horizon_rejected():

@@ -8,6 +8,7 @@ from aisepred.scenarios import (
     format_csv_lines,
     read_positions_csv,
     read_timeseries_csv,
+    sample_time,
     truth_arrays,
 )
 from aisepred.scenarios import _helical_state, _parabolic_state
@@ -154,6 +155,20 @@ def test_uniform_epoch_stamps_read_as_uniform():
     assert positions.shape == (400, 3)
     assert t[1] - t[0] == 1_700_000_000.01 - 1_700_000_000.0
     assert np.ptp(np.diff(t)) > 1e-9
+
+
+def test_epoch_stamps_give_the_mean_spacing_as_sample_time():
+    # The first spacing of this 400-row file is 9.5e-7 relative off 0.01 s, which puts an
+    # order-3 derivative (a factor t_s^-3) 2.9e-6 off; the mean of its 399 spacings is 2.4e-9 off.
+    t, _ = read_positions_csv(epoch_stamped_csv())
+    assert abs((t[1] - t[0]) / 0.01 - 1.0) > 9e-7
+    assert sample_time(t) == (1_700_000_003.99 - 1_700_000_000.0) / 399 == 0.010000000023901612
+    assert abs(sample_time(t) / 0.01 - 1.0) < 3e-9
+
+
+def test_sample_time_of_exact_stamps():
+    assert sample_time(np.arange(301) * 0.01) == 0.01
+    assert sample_time(np.array([5.0, 5.25])) == 0.25
 
 
 @pytest.mark.parametrize("shift, message", [
