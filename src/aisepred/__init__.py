@@ -22,7 +22,7 @@ from .frenet import (
     scalar_params,
 )
 from .harness import ExperimentConfig, RmseReport, rmse, run_experiment
-from .integrators import SystemMatrices, build_integrator
+from .integrators import build_integrator
 from .prediction import METHODS, DerivativeEstimate, PredictionTrace, predict, va_predict
 from .scenarios import add_noise, truth_arrays
 
@@ -48,7 +48,6 @@ __all__ = [
     "RmseReport",
     "rmse",
     "run_experiment",
-    "SystemMatrices",
     "build_integrator",
     "METHODS",
     "DerivativeEstimate",

@@ -266,13 +266,18 @@ def vrf_lambda(z_history, tau_n, tau_d, alpha_vrf, f_crit):
     """
     if len(z_history) < tau_d:
         return 1.0
-    # np.var(ddof=1) in scalar arithmetic, with sum() in place of numpy's pairwise sum.
-    z_n, z_d = z_history[-tau_n:], z_history[-tau_d:]
-    mean_n, mean_d = sum(z_n) / tau_n, sum(z_d) / tau_d
-    var_d = sum([(v - mean_d) * (v - mean_d) for v in z_d]) / (tau_d - 1)
+    def var(window):  # np.var(ddof=1) in scalar arithmetic, summing left to right: numpy's
+        mean = sq = 0.0  # sum is pairwise and, from CPython 3.12 on, sum() is compensated
+        for v in window:
+            mean += v
+        mean /= len(window)
+        for v in window:
+            sq += (v - mean) * (v - mean)
+        return sq / (len(window) - 1)
+    var_d = var(z_history[-tau_d:])
     if var_d <= 0.0:
         return 1.0
-    ratio = sum([(v - mean_n) * (v - mean_n) for v in z_n]) / (tau_n - 1) / var_d
+    ratio = var(z_history[-tau_n:]) / var_d
     if ratio > f_crit:
         return 1.0 / (1.0 + alpha_vrf * (ratio - f_crit))
     return 1.0
@@ -296,7 +301,7 @@ class AiseFilter:
 
     def __init__(self, config=None):
         self.cfg = config = config or AiseConfig()
-        self.model = build_integrator(config.order, config.t_s)
+        self.A, self.B = build_integrator(config.order, config.t_s)
         self.adapt_start = config.adapt_start if config.adapt_start is not None else config.n_f
         self._f_crit = f_critical(config.tau_n - 1, config.tau_d - 1)
         self._eta_grid = np.logspace(np.log10(config.eta_l), np.log10(config.eta_u),
@@ -311,11 +316,12 @@ class AiseFilter:
     def reset(self):
         """Zero coefficients, state and windows, and the RLS covariance inv(r_theta I)."""
         cfg = self.cfg
-        n, lt = self.model.n, cfg.l_theta
+        n, lt = len(self.B), cfg.l_theta
         self.k = 0
         self.theta = np.zeros(lt)
         self.P_sqrt = np.eye(lt) / math.sqrt(cfg.r_theta)
-        self._abar = self.model.A.copy()  # scratch, not state: the closed-loop matrix
+        self._abar = self.A.copy()  # scratch, not state: the closed-loop matrix
+        self._h = np.zeros(cfg.n_f)  # scratch: the closed loop's impulse response at lags 1..n_f
         self.x_fc = np.zeros(n)
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
@@ -365,16 +371,11 @@ class AiseFilter:
     # Individual operations (composed by step)
     # ------------------------------------------------------------------
 
-    def _filter_weights(self):
-        """Impulse-response weights of the residual-to-input closed loop, lags 1..n_f."""
-        H = np.empty(self.cfg.n_f)
-        H[0] = self.model.B[0] if self.k >= 1 else 0.0
-        H[1:] = self.loop_weights[:, 0]
-        return H
-
     def filter_regressor(self):
         """Filtered regressor row and filtered input estimate over the last n_f steps."""
-        H = self._filter_weights()
+        H = self._h  # refilled from k and loop_weights on every call
+        H[0] = self.B[0] if self.k >= 1 else 0.0
+        H[1:] = self.loop_weights[:, 0]
         return H.dot(self.phi_hist), float(H.dot(self.dhat_hist[: self.cfg.n_f]))
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
@@ -463,24 +464,14 @@ class AiseFilter:
             idx = int(np.abs((c - grid[:m]) - target).argmin())
         return float(grid[idx]), float(c - grid[idx])
 
-    def _forecast_var(self):
-        return float(self.model.A[0].dot(self.P_da).dot(self.model.A[0]))
-
-    def _innovation_var(self, v2):
-        """Variance of the residual, P_fc[0, 0] + v2; raises unless it is positive."""
-        innov_var = self.P_fc[0, 0] + v2
-        if innov_var <= 0.0:
-            raise NumericalInvariantError(self.k, "innovation variance not positive")
-        return innov_var
-
-    def data_assimilate(self, z, eta, v2):
+    def data_assimilate(self, z, eta, innov_var):
         """Measurement update and forecast-covariance propagation.
 
-        Returns (x_da, K_da, P_da, next P_fc) and advances the stored
-        covariances and the closed-loop weight vectors.
+        innov_var is P_fc[0, 0] + V2, the residual's variance, which step checked is positive.
+        Returns (x_da, K_da, P_da, next P_fc) and advances the covariances and closed-loop weights.
         """
-        A = self.model.A
-        gain = self.P_fc[:, 0] / -self._innovation_var(v2)
+        A = self.A
+        gain = self.P_fc[:, 0] / -innov_var
         self.x_da = self.x_fc + gain * z
         # Built and symmetrized in place: numpy reads an overlapping operand (P += P.T) as a copy.
         self.P_da = P_da = np.multiply.outer(gain, self.P_fc[0])
@@ -494,7 +485,7 @@ class AiseFilter:
             # overlapping operands the non-overlapping result.
             W = self.loop_weights
             np.matmul(W[:-1], self._abar.T, out=W[1:])
-            W[0] = self._abar.dot(self.model.B)
+            W[0] = self._abar.dot(self.B)
         self.P_fc = P_fc = A.dot(P_da).dot(A.T)
         P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: dot returns a C-ordered array
         P_fc += P_fc.T
@@ -538,9 +529,12 @@ class AiseFilter:
         res_mean = self.res_mean + delta / (self.k + 1)
         res_m2 = self.res_m2 + delta * (z - res_mean)
         s_hat = res_m2 / self.k if self.k >= 1 else None
-        forecast_var = self._forecast_var() if self.k >= self.adapt_start else None
+        A0 = self.A[0]  # forecast_var is that of the assimilated state's forecast
+        forecast_var = float(A0.dot(self.P_da).dot(A0)) if self.k >= self.adapt_start else None
         eta, v2 = self._noise_levels(s_hat, forecast_var)
-        self._innovation_var(v2)  # the one check data_assimilate makes
+        innov_var = self.P_fc[0, 0] + v2
+        if innov_var <= 0.0:
+            raise NumericalInvariantError(self.k, "innovation variance not positive")
 
         self.rls_update(lam, phi, phi_f, z, dhat_f)
         self.res_mean, self.res_m2 = res_mean, res_m2
@@ -548,8 +542,8 @@ class AiseFilter:
         self.z_hist[0] = z
         self.eta_k, self.v2_k = eta, v2
 
-        self.data_assimilate(z, eta, v2)
-        self.x_fc = self.model.A.dot(self.x_da) + self.model.B * d_hat
+        self.data_assimilate(z, eta, innov_var)
+        self.x_fc = self.A.dot(self.x_da) + self.B * d_hat
 
         self.dhat_hist[1:] = self.dhat_hist[:-1]
         self.dhat_hist[0] = d_hat

@@ -5,30 +5,11 @@ signal) through m cascaded discrete integrators to the measured output, so
 estimating d amounts to m-fold numerical differentiation.
 """
 
-from dataclasses import dataclass, field
 from math import factorial, inf
 
 import numpy as np
 
-__all__ = ["SystemMatrices", "build_integrator"]
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """State-space matrices (A, B) of a discrete integrator chain.
-
-    State ordering is (signal, first derivative, ..., highest derivative), so
-    the measurement reads the first state; n is the chain's order. Immutable;
-    safe to share across threads.
-    """
-
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-    n: int
-
-    def __post_init__(self):
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+__all__ = ["build_integrator"]
 
 
 def check_sample_time(t_s):
@@ -38,10 +19,11 @@ def check_sample_time(t_s):
 
 
 def build_integrator(order, t_s):
-    """Build the order-1, -2, or -3 discrete integrator model for sample time t_s.
+    """The read-only arrays (A, B) of the order-1, -2, or -3 chain for sample time t_s.
 
-    A is upper triangular with unit diagonal (Taylor propagation of the state),
-    B holds t_s^i / i! for i = order down to 1; the signal is the first state.
+    The state is (signal, first derivative, ..., highest derivative), so the
+    measurement reads the first state. A is upper triangular with unit diagonal
+    (Taylor propagation of the state), B holds t_s^i / i! for i = order down to 1.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"differentiation order must be 1, 2, or 3, got {order!r}")
@@ -52,4 +34,6 @@ def build_integrator(order, t_s):
         for j in range(i + 1, order):
             A[i, j] = t_s ** (j - i) / factorial(j - i)
     B = np.array([t_s ** (order - i) / factorial(order - i) for i in range(order)])
-    return SystemMatrices(A=A, B=B, n=order)
+    A.setflags(write=False)
+    B.setflags(write=False)
+    return A, B

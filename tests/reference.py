@@ -70,8 +70,7 @@ def project_rotation_det(M):
 
 def abg_error_dynamics_eigenvalues(alpha, beta, gamma, t_s):
     """Eigenvalues of the tracker's error propagation A(I - KC)."""
-    model = build_integrator(3, t_s)
-    A = model.A
+    A, _ = build_integrator(3, t_s)
     K = np.array([alpha, beta / t_s, 2.0 * gamma / t_s**2])
     closed = A @ (np.eye(3) - np.outer(K, [1.0, 0.0, 0.0]))
     return np.linalg.eigvals(closed)
@@ -85,7 +84,7 @@ def step_record(filt, y):
     """
     k = filt.k
     phi_f, dhat_f = filt.filter_regressor()
-    forecast_var = filt._forecast_var() if k >= filt.adapt_start else None
+    forecast_var = float(filt.A[0].dot(filt.P_da).dot(filt.A[0])) if k >= filt.adapt_start else None
     d_hat = filt.step(y)
     return SimpleNamespace(
         k=k, z=float(filt.z_hist[0]), d_hat=d_hat, phi=filt.phi_hist[0].copy(),

@@ -218,9 +218,9 @@ def test_abg_gains_match_the_riccati_solution(gamma_index):
     # The predicted covariance solves the discrete algebraic Riccati equation of the
     # constant-acceleration model, with the jerk noise of the tracking-index definition.
     t_s = 0.01
-    model = build_integrator(3, t_s)
-    Q = (gamma_index / t_s**2) ** 2 * np.outer(model.B, model.B)
-    P_pred = solve_discrete_are(model.A.T, np.array([[1.0], [0.0], [0.0]]), Q, np.ones((1, 1)))
+    A, B = build_integrator(3, t_s)
+    Q = (gamma_index / t_s**2) ** 2 * np.outer(B, B)
+    P_pred = solve_discrete_are(A.T, np.array([[1.0], [0.0], [0.0]]), Q, np.ones((1, 1)))
     K = P_pred[:, 0] / (P_pred[0, 0] + 1.0)
     np.testing.assert_allclose(abg_gains(gamma_index, t_s),
                                [K[0], K[1] * t_s, K[2] * t_s**2 / 2.0], rtol=1e-12)
