@@ -300,22 +300,13 @@ class AiseFilter:
     """
 
     def __init__(self, config=None):
-        self.cfg = config = config or AiseConfig()
-        self.A, self.B = build_integrator(config.order, config.t_s)
-        self.adapt_start = config.adapt_start if config.adapt_start is not None else config.n_f
-        self._f_crit = f_critical(config.tau_n - 1, config.tau_d - 1)
-        self._eta_grid = np.logspace(np.log10(config.eta_l), np.log10(config.eta_u),
-                                     config.eta_grid_points)
+        self.cfg = cfg = config or AiseConfig()
+        self.A, self.B = build_integrator(cfg.order, cfg.t_s)
+        self.adapt_start = cfg.adapt_start if cfg.adapt_start is not None else cfg.n_f
+        self._f_crit = f_critical(cfg.tau_n - 1, cfg.tau_d - 1)
+        self._eta_grid = np.logspace(np.log10(cfg.eta_l), np.log10(cfg.eta_u), cfg.eta_grid_points)
         self._log_eta_grid = np.log(self._eta_grid)
-        self.reset()
-
-    # ------------------------------------------------------------------
-    # State management
-    # ------------------------------------------------------------------
-
-    def reset(self):
-        """Zero coefficients, state and windows, and the RLS covariance inv(r_theta I)."""
-        cfg = self.cfg
+        # Zero coefficients, state and windows, and the RLS covariance inv(r_theta I).
         n, lt = len(self.B), cfg.l_theta
         self.k = 0
         self.theta = np.zeros(lt)
@@ -351,22 +342,6 @@ class AiseFilter:
         self._s_spare = np.empty_like(self._p_sqrt)  # scratch, not state: the next P_sqrt
         self._tiny = np.full(self._p_sqrt.size, 2.0**-64)  # scratch: rls_update's finite check
 
-    @property
-    def p_inv(self):
-        """RLS information matrix, inv(S S^T). Assigning one sets P_sqrt = L^-T for its
-        Cholesky factor L; one that is not positive definite raises and changes nothing."""
-        s_inv = np.linalg.inv(self._p_sqrt)
-        return s_inv.T @ s_inv
-
-    @p_inv.setter
-    def p_inv(self, value):  # potrf reads only the lower triangle of value's transpose
-        value = np.asarray(value, dtype=float)
-        factor, info = _POTRF(value.T, lower=1)
-        s = dtrsm(1.0, factor, np.eye(len(factor)), lower=1, trans_a=1)  # solves L^T S = I
-        if info != 0 or not (np.isfinite(value).all() and np.isfinite(s).all()):
-            raise NumericalInvariantError(self.k, "RLS information matrix is not positive definite")
-        self.P_sqrt = s
-
     # ------------------------------------------------------------------
     # Individual operations (composed by step)
     # ------------------------------------------------------------------
@@ -379,10 +354,10 @@ class AiseFilter:
         return H.dot(self.phi_hist), float(H.dot(self.dhat_hist[: self.cfg.n_f]))
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
-        """Forgetting/resetting RLS step on S, S S^T = inv(p_inv), and the coefficients.
+        """Forgetting/resetting RLS step on S, S S^T = inv(M), and the coefficients.
 
-        It is the information-form step p_inv <- lam p_inv + (1 - lam) r_inf I + r_z phi_f
-        phi_f^T + r_d phi phi^T, theta <- theta - solve(p_inv, rhs), factoring nothing when
+        It is the information-form step M <- lam M + (1 - lam) r_inf I + r_z phi_f
+        phi_f^T + r_d phi phi^T, theta <- theta - solve(M, rhs), factoring nothing when
         lam == 1; unlike a stored P, S keeps the covariance definite far from unit scale.
         A lam < 1 step forgets with one Cholesky factor, R R^T = lam I + (1 - lam) r_inf S^T S,
         as S <- S R^-T. Each term w (o + v^T theta)^2 is then a gain step and Potter's update:
@@ -468,7 +443,7 @@ class AiseFilter:
         """Measurement update and forecast-covariance propagation.
 
         innov_var is P_fc[0, 0] + V2, the residual's variance, which step checked is positive.
-        Returns (x_da, K_da, P_da, next P_fc) and advances the covariances and closed-loop weights.
+        Sets x_da, P_da and the next P_fc, and advances the closed-loop weights; returns nothing.
         """
         A = self.A
         gain = self.P_fc[:, 0] / -innov_var
@@ -490,7 +465,6 @@ class AiseFilter:
         P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: dot returns a C-ordered array
         P_fc += P_fc.T
         P_fc *= 0.5
-        return self.x_da, gain, self.P_da, self.P_fc
 
     # ------------------------------------------------------------------
     # Main cycle

@@ -94,7 +94,7 @@ def _cmd_predict(args):
     trace = predict(method, P[-1], estimates, args.horizon, t_s, anchor_step=len(P) - 1)
     with _output(args.out) as out:
         out.write("l,x,y,z\n")
-        out.write(format_csv_lines([range(1, trace.horizon + 1), *trace.positions.T.tolist()]))
+        out.write(format_csv_lines([range(1, len(trace.positions) + 1), *trace.positions.T.tolist()]))
     return 0
 
 

@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.k0 + self.horizon >= self.n_steps:
             raise ValueError(
                 f"need k0 + horizon < n_steps, got {self.k0} + {self.horizon} >= {self.n_steps}"
@@ -436,7 +438,7 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est)
 def _write_traces(fh, method, block):
     """Append a block of traces to predictions.csv and empty it; returns the seconds taken."""
     tick = time.perf_counter()
-    fh.write("".join([format_csv_lines([range(1, tr.horizon + 1), *tr.positions.T.tolist()],
+    fh.write("".join([format_csv_lines([range(1, len(tr.positions) + 1), *tr.positions.T.tolist()],
                                        prefix=f"{tr.anchor_step},{method},")
                       for tr in block]).encode())
     block.clear()

@@ -30,19 +30,12 @@ class DerivativeEstimate:
 
 @dataclass(frozen=True)
 class PredictionTrace:
-    """Predicted positions for steps k+1 .. k+horizon from anchor step k."""
+    """Predicted positions for steps k+1 .. k+horizon from anchor step k, one row each."""
 
     anchor_step: int
-    horizon: int
     method: str
     positions: np.ndarray = field(repr=False)
     fallback_used: bool = False
-
-    def __post_init__(self):
-        if self.positions.shape != (self.horizon, 3):
-            raise ValueError(
-                f"positions shape {self.positions.shape} does not match horizon {self.horizon}"
-            )
 
 
 @functools.lru_cache(maxsize=16)
@@ -62,8 +55,8 @@ def va_predict(p_k, v_k, a_k, horizon, t_s, anchor_step=0, method="AISE/va",
     p_k, v_k, a_k = (np.asarray(x, dtype=float) for x in (p_k, v_k, a_k))
     lt, half_lt2 = _va_grid(horizon, t_s)
     positions = p_k + lt * v_k + half_lt2 * a_k
-    return PredictionTrace(anchor_step=anchor_step, horizon=horizon, method=method,
-                           positions=positions, fallback_used=fallback_used)
+    return PredictionTrace(anchor_step=anchor_step, method=method, positions=positions,
+                           fallback_used=fallback_used)
 
 
 def predict(method, p_k, estimates, horizon, t_s, anchor_step=0):
@@ -83,7 +76,6 @@ def predict(method, p_k, estimates, horizon, t_s, anchor_step=0):
             return va_predict(p_k, estimates.v, estimates.a, horizon, t_s,
                               anchor_step=anchor_step, method=method, fallback_used=True)
         positions = fs_predict(p_k, model, horizon, t_s)
-        return PredictionTrace(anchor_step=anchor_step, horizon=horizon, method=method,
-                               positions=positions)
+        return PredictionTrace(anchor_step=anchor_step, method=method, positions=positions)
     return va_predict(p_k, estimates.v, estimates.a, horizon, t_s,
                       anchor_step=anchor_step, method=method)

@@ -3,13 +3,17 @@
 They deliberately avoid the library's closed-form code paths: rotations come
 from a truncated power series, integrals from Simpson quadrature, and the
 alpha-beta-gamma tracker's poles from the eigenvalues of its error dynamics,
-and the polar projection's reflection test from np.linalg.det. step_record reads the values of one AiseFilter step from the state around it.
+and the polar projection's reflection test from np.linalg.det. step_record
+reads the values of one AiseFilter step from the state around it;
+information and set_information read and set a filter's RLS information
+matrix inv(P_sqrt @ P_sqrt.T), which the filter does not store.
 """
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from aisepred.frenet import hat
 from aisepred.integrators import build_integrator
@@ -90,3 +94,15 @@ def step_record(filt, y):
         k=k, z=float(filt.z_hist[0]), d_hat=d_hat, phi=filt.phi_hist[0].copy(),
         phi_f=phi_f, dhat_f=dhat_f, lam=filt.lambda_k, eta=filt.eta_k, v2=filt.v2_k,
         s_hat=filt.res_m2 / k if k >= 1 else None, forecast_var=forecast_var)
+
+
+def information(filt):
+    """The RLS information matrix inv(S S^T) of the square root S = filt.P_sqrt."""
+    s_inv = np.linalg.inv(filt.P_sqrt)
+    return s_inv.T @ s_inv
+
+
+def set_information(filt, M):
+    """Give filt the RLS information matrix M: P_sqrt = L^-T for the Cholesky factor L of M."""
+    L = np.linalg.cholesky(M)
+    filt.P_sqrt = solve_triangular(L, np.eye(len(L)), lower=True, trans="T")

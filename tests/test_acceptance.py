@@ -16,7 +16,7 @@ from aisepred.frenet import frenet_model, fs_predict, gamma0, gamma1
 from aisepred.harness import ExperimentConfig, run_experiment
 from aisepred.prediction import va_predict
 from aisepred.scenarios import add_noise, truth_arrays
-from reference import series_rotation_exp, simpson_rotation_integral, step_record
+from reference import information, series_rotation_exp, simpson_rotation_integral, step_record
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -139,7 +139,7 @@ def test_criterion_05_estimator_invariant_suite():
             achieved = abs((d.s_hat - d.forecast_var - d.eta) - d.v2)
             assert achieved <= enumerated + 1e-15, f"minimizer mismatch at step {k}"
             minimizer_checks += 1
-    np.linalg.cholesky(filt.p_inv)
+    np.linalg.cholesky(information(filt))
     elapsed = time.perf_counter() - start
     ok = minimizer_checks >= 190 and elapsed < 60.0
     assert report(5, ok, f"{n_steps} steps, invariants held every step, "

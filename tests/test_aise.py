@@ -20,7 +20,7 @@ from aisepred.aise import (
     from_fields,
     vrf_lambda,
 )
-from reference import step_record
+from reference import information, set_information, step_record
 
 
 def make_filter(**overrides):
@@ -341,10 +341,10 @@ def test_vrf_same_bits_on_every_python():
 def test_rls_no_excitation_no_change():
     f = make_filter(n_e=1)
     theta0 = f.theta.copy()
-    p0 = f.p_inv.copy()
+    p0 = information(f)
     f.rls_update(1.0, np.zeros(3), np.zeros(3), 0.0, 0.0)
     np.testing.assert_array_equal(f.theta, theta0)
-    np.testing.assert_array_equal(f.p_inv, p0)
+    np.testing.assert_array_equal(information(f), p0)
 
 
 def test_rls_scalar_oracle():
@@ -353,9 +353,9 @@ def test_rls_scalar_oracle():
     # P1^-1 = 0.1 + 1 = 1.1 and theta1 = 1/1.1.
     f = make_filter(n_e=1)
     f.theta = np.zeros(1)
-    f.p_inv = np.array([[0.1]])
+    set_information(f, np.array([[0.1]]))
     f.rls_update(1.0, np.zeros(1), np.ones(1), -1.0, 0.0)
-    assert f.p_inv[0, 0] == pytest.approx(1.1)
+    assert information(f)[0, 0] == pytest.approx(1.1)
     assert f.theta[0] == pytest.approx(1.0 / 1.1, rel=1e-12)
     assert f.theta[0] == pytest.approx(0.9091, abs=5e-5)
 
@@ -367,11 +367,11 @@ def test_rls_forgetting_eigenvalue_bound():
     for _ in range(20):
         f = make_filter(n_e=2, r_inf=1e-4)
         M = rng.normal(size=(5, 5))
-        f.p_inv = M @ M.T + 0.01 * np.eye(5)
-        p_old_max = np.linalg.eigvalsh(np.linalg.inv(f.p_inv)).max()
+        set_information(f, M @ M.T + 0.01 * np.eye(5))
+        p_old_max = np.linalg.eigvalsh(np.linalg.inv(information(f))).max()
         lam = rng.uniform(0.2, 0.99)
         f.rls_update(lam, np.zeros(5), np.zeros(5), 0.0, 0.0)
-        p_new_max = np.linalg.eigvalsh(np.linalg.inv(f.p_inv)).max()
+        p_new_max = np.linalg.eigvalsh(np.linalg.inv(information(f))).max()
         bound = max(p_old_max, 1.0 / 1e-4)
         assert p_new_max <= bound * (1 + 1e-9)
 
@@ -384,27 +384,29 @@ def test_rls_forgetting_eigenvalue_bound():
 def test_assimilation_zero_uncertainty():
     f = make_filter()
     f.x_fc = np.array([3.0])
-    x_da, gain, P_da, _ = f.data_assimilate(z=0.7, eta=0.0, innov_var=f.P_fc[0, 0] + 1.0)
+    assert f.data_assimilate(z=1.0, eta=0.0, innov_var=f.P_fc[0, 0] + 1.0) is None
+    gain = f.x_da - f.x_fc  # x_da = x_fc + gain z at the unit residual
     assert gain[0] == 0.0
-    np.testing.assert_array_equal(x_da, [3.0])
-    assert P_da[0, 0] == 0.0
+    np.testing.assert_array_equal(f.x_da, [3.0])
+    assert f.P_da[0, 0] == 0.0
 
 
 def test_assimilation_scalar_values():
     f = make_filter()
     f.P_fc = np.array([[1.0]])
-    _, gain, P_da, _ = f.data_assimilate(z=0.0, eta=0.0, innov_var=f.P_fc[0, 0] + 1.0)
+    f.data_assimilate(z=1.0, eta=0.0, innov_var=f.P_fc[0, 0] + 1.0)
+    gain = f.x_da - f.x_fc  # x_da = x_fc + gain z at the unit residual
     assert gain[0] == pytest.approx(-0.5)
-    assert P_da[0, 0] == pytest.approx(0.5)
+    assert f.P_da[0, 0] == pytest.approx(0.5)
 
 
 def test_forecast_covariance_propagation():
     f = make_filter()
     f.P_fc = np.array([[1.0]])
     eta = 0.25
-    _, _, P_da, P_fc_next = f.data_assimilate(z=0.0, eta=eta, innov_var=f.P_fc[0, 0] + 1.0)
-    assert P_fc_next[0, 0] == pytest.approx(P_da[0, 0] + eta)
-    assert P_fc_next[0, 0] == pytest.approx(0.75)
+    f.data_assimilate(z=0.0, eta=eta, innov_var=f.P_fc[0, 0] + 1.0)
+    assert f.P_fc[0, 0] == pytest.approx(f.P_da[0, 0] + eta)
+    assert f.P_fc[0, 0] == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +570,7 @@ def test_step_invariants_on_noisy_run():
         assert f.cfg.eta_l <= f.eta_k <= f.cfg.eta_u
         assert f.v2_k >= 0.0
     # positive definiteness of the coefficient covariance
-    np.linalg.cholesky(f.p_inv)
+    np.linalg.cholesky(information(f))
     np.linalg.cholesky(f.P_sqrt @ f.P_sqrt.T)
 
 

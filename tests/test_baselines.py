@@ -196,8 +196,10 @@ def test_abg_gains_vanish_monotonically():
     assert np.all(arr[-1] < 1e-2)
 
 
-@pytest.mark.parametrize("gamma_index", [1e-10, 1e-5, 0.05, 0.6, 2.0, 1e3, 1e6, 1e10, 1e20,
-                                         1e30, 1e40])
+# At 1e-10 the oracle's Lyapunov solve is ill-conditioned, and scipy warns of it.
+@pytest.mark.parametrize("gamma_index", [
+    pytest.param(1e-10, marks=pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")),
+    1e-5, 0.05, 0.6, 2.0, 1e3, 1e6, 1e10, 1e20, 1e30, 1e40])
 def test_abg_fixed_point_residual(gamma_index):
     # The gains are a fixed point of one Riccati sweep: the predicted covariance a tracker with
     # these gains holds in steady state gives these gains back. In the coordinates

@@ -27,8 +27,7 @@ def make_traces(truth, horizon, k0, offset=0.0, method="AISE/va"):
     traces = []
     for k in range(k0, n_last - horizon + 1):
         positions = truth[k + 1 : k + horizon + 1] + offset
-        traces.append(PredictionTrace(anchor_step=k, horizon=horizon,
-                                      method=method, positions=positions))
+        traces.append(PredictionTrace(anchor_step=k, method=method, positions=positions))
     return traces
 
 
@@ -67,8 +66,7 @@ def test_rmse_missing_anchor_reported():
 def test_rmse_short_trace_reported():
     truth = np.zeros((100, 3))
     traces = make_traces(truth, 10, 20)
-    traces[5] = PredictionTrace(anchor_step=25, horizon=4, method="AISE/va",
-                                positions=np.zeros((4, 3)))
+    traces[5] = PredictionTrace(anchor_step=25, method="AISE/va", positions=np.zeros((4, 3)))
     with pytest.raises(ValueError, match="anchor step 25 has 4 positions"):
         rmse(truth, traces, 10, 20)
 
@@ -111,9 +109,10 @@ def test_normalize_method():
     ({"methods": []}, "at least one prediction method is required"),
     ({"horizon": 0}, "horizon must be >= 1"),
     ({"k0": -1}, "k0 must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"schema_version": 2}, "unsupported config schema version 2"),
 ], ids=["k0-plus-horizon", "rmse-form", "scenario", "csv-with-truth", "no-methods",
-        "horizon-0", "negative-k0", "schema-version"])
+        "horizon-0", "negative-k0", "negative-seed", "schema-version"])
 def test_config_validation(data, message):
     with pytest.raises(ValueError) as error:
         config_from_dict(data)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisepred.prediction import (METHODS, DerivativeEstimate, PredictionTrace, _va_grid, predict,
-                                 va_predict)
+from aisepred.prediction import METHODS, DerivativeEstimate, _va_grid, predict, va_predict
 from aisepred.scenarios import truth_arrays
 
 
@@ -56,12 +55,6 @@ def test_va_each_horizon_and_sample_time_has_its_grid(horizon, t_s):
 def test_invalid_horizon_rejected():
     with pytest.raises(ValueError, match="horizon"):
         va_predict(np.zeros(3), np.zeros(3), np.zeros(3), 0, 0.01)
-
-
-def test_trace_shape_validated():
-    with pytest.raises(ValueError, match="positions shape"):
-        PredictionTrace(anchor_step=0, horizon=5, method="AISE/va",
-                        positions=np.zeros((4, 3)))
 
 
 def test_dispatch_unknown_method():
