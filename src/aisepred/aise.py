@@ -302,6 +302,7 @@ class AiseFilter:
     def __init__(self, config=None):
         self.cfg = cfg = config or AiseConfig()
         self.A, self.B = build_integrator(cfg.order, cfg.t_s)
+        self._a_t, self._a_col0, self._a0 = self.A.T, self.A[:, 0], self.A[0]  # constant views
         self.adapt_start = cfg.adapt_start if cfg.adapt_start is not None else cfg.n_f
         self._f_crit = f_critical(cfg.tau_n - 1, cfg.tau_d - 1)
         self._eta_grid = np.logspace(np.log10(cfg.eta_l), np.log10(cfg.eta_u), cfg.eta_grid_points)
@@ -312,16 +313,17 @@ class AiseFilter:
         self.theta = np.zeros(lt)
         self.P_sqrt = np.eye(lt) / math.sqrt(cfg.r_theta)
         self._abar = self.A.copy()  # scratch, not state: the closed-loop matrix
+        self._abar_t = self._abar.T
         self._h = np.zeros(cfg.n_f)  # scratch: the closed loop's impulse response at lags 1..n_f
         self.x_fc = np.zeros(n)
         self.x_da = np.zeros(n)
         self.P_fc = np.zeros((n, n))
         self.P_da = np.zeros((n, n))
-        # Windows are newest first, shifted in place by one step, and as long as the step reads:
+        # Windows are newest first, shifted by one row a step, and as long as the step reads:
         # phi takes n_e inputs and residuals, phi_f n_f inputs, the F-test tau_d - 1 residuals.
         self.dhat_hist = np.zeros(max(cfg.n_e, cfg.n_f))
         self.z_hist = np.zeros(max(cfg.n_e, cfg.tau_d - 1))
-        self.phi_hist = np.zeros((cfg.n_f, lt))                 # row i = phi at step k-1-i
+        self.phi_hist = np.zeros((cfg.n_f, lt))
         # Row j is (the last j+1 closed-loop matrices, newest leftmost) @ B; its first entry
         # is the filter weight at lag j+2. Zero rows encode missing history.
         self.loop_weights = np.zeros((cfg.n_f - 1, n))
@@ -330,6 +332,29 @@ class AiseFilter:
         self.eta_k = cfg.eta_init
         self.v2_k = 1.0
         self.lambda_k = 1.0
+
+    @property
+    def phi_hist(self):
+        """Row i is phi at step k-1-i: a window on a buffer twice its length, which a step
+        moves up by one row, having built its phi in the row above, and copies back to the
+        bottom once it has reached the top: one copy every n_f steps, not a shift a step."""
+        return self._phi_buf[self._phi_top : self._phi_top + len(self._phi_buf) // 2]
+
+    @phi_hist.setter
+    def phi_hist(self, value):
+        value = np.asarray(value, dtype=float)
+        self._phi_top = len(value)
+        self._phi_buf = np.empty((2 * len(value), *value.shape[1:]))
+        self._phi_buf[len(value) :] = value
+
+    @property
+    def loop_weights(self):
+        return self._loop_weights
+
+    @loop_weights.setter
+    def loop_weights(self, value):  # a C-ordered copy, and a spare of its shape (scratch)
+        self._loop_weights = np.array(value, dtype=float, order="C")
+        self._loop_weights_spare = np.empty_like(self._loop_weights)
 
     @property
     def P_sqrt(self):
@@ -350,7 +375,7 @@ class AiseFilter:
         """Filtered regressor row and filtered input estimate over the last n_f steps."""
         H = self._h  # refilled from k and loop_weights on every call
         H[0] = self.B[0] if self.k >= 1 else 0.0
-        H[1:] = self.loop_weights[:, 0]
+        H[1:] = self._loop_weights[:, 0]
         return H.dot(self.phi_hist), float(H.dot(self.dhat_hist[: self.cfg.n_f]))
 
     def rls_update(self, lam, phi, phi_f, z, dhat_f):
@@ -448,22 +473,24 @@ class AiseFilter:
         A = self.A
         gain = self.P_fc[:, 0] / -innov_var
         self.x_da = self.x_fc + gain * z
-        # Built and symmetrized in place: numpy reads an overlapping operand (P += P.T) as a copy.
-        self.P_da = P_da = np.multiply.outer(gain, self.P_fc[0])
-        P_da += self.P_fc
-        P_da += P_da.T
+        # Each covariance M is symmetrized as (M + M^T) / 2 into a new array: numpy would give
+        # the in-place M += M^T, whose operands overlap, a temporary copy of M^T.
+        M = np.multiply.outer(gain, self.P_fc[0])
+        M += self.P_fc
+        self.P_da = P_da = M + M.T
         P_da *= 0.5
         if self.k >= 1:
             # Closed-loop matrix A(I + K C): A with its first column shifted by A @ K.
-            self._abar[:, 0] = A[:, 0] + A.dot(gain)
-            # Row j becomes abar @ (old row j - 1), shifted in place: numpy gives
-            # overlapping operands the non-overlapping result.
-            W = self.loop_weights
-            np.matmul(W[:-1], self._abar.T, out=W[1:])
-            W[0] = self._abar.dot(self.B)
-        self.P_fc = P_fc = A.dot(P_da).dot(A.T)
-        P_fc.ravel()[:: len(P_fc) + 1] += eta  # a view: dot returns a C-ordered array
-        P_fc += P_fc.T
+            self._abar[:, 0] = self._a_col0 + A.dot(gain)
+            # Row j becomes abar @ (old row j - 1), written into the spare.
+            W, spare = self._loop_weights, self._loop_weights_spare
+            W[:-1].dot(self._abar_t, out=spare[1:])
+            self._abar.dot(self.B, out=spare[0])
+            self._loop_weights, self._loop_weights_spare = spare, W
+        M = A.dot(P_da).dot(self._a_t)
+        for i in range(len(M)):  # + eta I
+            M[i, i] += eta
+        self.P_fc = P_fc = M + M.T
         P_fc *= 0.5
 
     # ------------------------------------------------------------------
@@ -484,7 +511,11 @@ class AiseFilter:
 
         # phi and the variance-ratio window put z ahead of the stored history. Nothing is
         # committed until every check has passed: a failed step changes nothing.
-        phi = np.empty(cfg.l_theta)
+        buf, top = self._phi_buf, self._phi_top
+        if top == 0:  # the phi_hist window is at the top of its buffer: copy it to the bottom
+            top = self._phi_top = len(buf) // 2
+            buf[top:] = buf[:top]
+        phi = buf[top - 1]  # the row above the window, which becomes its row 0
         phi[: cfg.n_e] = self.dhat_hist[: cfg.n_e]
         phi[cfg.n_e] = z
         phi[cfg.n_e + 1 :] = self.z_hist[: cfg.n_e]
@@ -503,7 +534,7 @@ class AiseFilter:
         res_mean = self.res_mean + delta / (self.k + 1)
         res_m2 = self.res_m2 + delta * (z - res_mean)
         s_hat = res_m2 / self.k if self.k >= 1 else None
-        A0 = self.A[0]  # forecast_var is that of the assimilated state's forecast
+        A0 = self._a0  # forecast_var is that of the assimilated state's forecast
         forecast_var = float(A0.dot(self.P_da).dot(A0)) if self.k >= self.adapt_start else None
         eta, v2 = self._noise_levels(s_hat, forecast_var)
         innov_var = self.P_fc[0, 0] + v2
@@ -521,8 +552,7 @@ class AiseFilter:
 
         self.dhat_hist[1:] = self.dhat_hist[:-1]
         self.dhat_hist[0] = d_hat
-        self.phi_hist[1:] = self.phi_hist[:-1]
-        self.phi_hist[0] = phi
+        self._phi_top = top - 1
 
         self.lambda_k = lam
         self.k += 1

@@ -7,10 +7,11 @@ velocity, acceleration (and AISE jerk) estimates per family; with
 truth_derivatives the exact derivatives stand in as the AISE record.
 Prediction then anchors a trace on the measured position at every step in
 [k0, n_steps - horizon], reading the derivatives from the record of the
-method's family. Each trace's horizon endpoint is
-scored against noiseless truth as the trace is made, with the reduction
-rmse() applies. With artifacts, the traces go to predictions.csv a block at a
-time as they are made, so no trace outlives its block. Runs are deterministic
+method's family. The anchors go in blocks: a /va set predicts a block in one
+call, AISE/FS one trace per anchor. Each block's horizon endpoints are scored
+against noiseless truth as the block is made, with the reduction rmse()
+applies. With artifacts, each block goes to predictions.csv as it is made,
+so no trace outlives its block. Runs are deterministic
 for a fixed config and seed: repeated runs produce byte-identical artifacts.
 """
 
@@ -28,7 +29,7 @@ from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_ob
 from .baselines import AbgFilter, BdbDifferentiator, abg_gains, check_butterworth_design
 from .frenet import DegenerateGeometry, scalar_params
 from .integrators import check_sample_time
-from .prediction import METHODS, DerivativeEstimate, predict
+from .prediction import METHODS, DerivativeEstimate, predict, va_predict
 from .scenarios import (SCENARIOS, add_noise, format_csv_lines, read_positions_csv, sample_time,
                         truth_arrays)
 
@@ -48,7 +49,7 @@ __all__ = [
 _DEFAULT_SIGMA = {"parabolic": 1.0, "helical": 0.1}
 # Rows of trace.csv formatted per write: larger blocks raise peak RSS.
 _TRACE_BLOCK_ROWS = 100
-# Traces formatted per write of predictions.csv: one costs time, a whole set memory.
+# Anchors predicted, scored and written per block: one costs time, a whole set memory.
 _PREDICTION_BLOCK_TRACES = 64
 # Bytes of predictions.csv read back per block when a prediction set is copied.
 _COPY_BLOCK_BYTES = 1 << 18
@@ -267,8 +268,8 @@ def run_experiment(config, out_dir=None):
     first_anchor, last_anchor = config.k0, n_steps - config.horizon
     h = config.horizon
     # Methods reading one record through one predictor (with truth_derivatives, all /va
-    # methods) share one prediction set; the first predicts, scores and writes it. Each
-    # endpoint error is taken as its trace is made, and no trace outlives its block.
+    # methods) share one prediction set; the first predicts, scores and writes it a block of
+    # anchors at a time.
     report_methods, first_of, sections, write_s = {}, {}, {}, 0.0
     with ExitStack() as files:
         if out_dir is not None:  # opened only once the estimators have run
@@ -288,17 +289,22 @@ def run_experiment(config, out_dir=None):
                 continue
             record = est[family]
             v, a, j = record["v"], record["a"], record.get("j")
-            errors, block = np.empty((last_anchor - first_anchor + 1, 3)), []
+            errors = np.empty((last_anchor - first_anchor + 1, 3))
             begin = fh.tell() if out_dir is not None else None
-            for i, k in enumerate(range(first_anchor, last_anchor + 1)):
-                trace = predict(method, measurements[k],
-                                DerivativeEstimate(v=v[k], a=a[k], j=None if j is None else j[k]),
-                                h, t_s, anchor_step=k)
-                errors[i] = P[k + h] - trace.positions[h - 1]
+            for lo in range(first_anchor, last_anchor + 1, _PREDICTION_BLOCK_TRACES):
+                hi = min(lo + _PREDICTION_BLOCK_TRACES, last_anchor + 1)
+                if method == "AISE/FS":  # a frame per anchor
+                    positions = np.array([
+                        predict(method, measurements[k], DerivativeEstimate(v[k], a[k], j[k]),
+                                h, t_s, anchor_step=k).positions for k in range(lo, hi)])
+                else:  # one broadcast per block
+                    positions = va_predict(measurements[lo:hi], v[lo:hi], a[lo:hi], h, t_s,
+                                           anchor_step=lo, method=method).positions
+                errors[lo - first_anchor : hi - first_anchor] = (
+                    P[lo + h : hi + h] - positions[:, h - 1])
                 if out_dir is not None:
-                    block.append(trace)
-                    if len(block) == _PREDICTION_BLOCK_TRACES or k == last_anchor:
-                        write_s += _write_traces(fh, method, block)
+                    write_s += _write_traces(fh, method, lo, positions)
+                del positions  # before the next block is predicted
             sections[method] = begin, fh.tell() if out_dir is not None else None
             report_methods[method] = _rms_of_errors(errors, config.rmse_form)
         report = RmseReport(report_methods, last_anchor - first_anchor + 1,
@@ -435,13 +441,13 @@ def _write_artifacts(out_dir, config, report, n_steps, truth, measurements, est)
             fh.write(format_csv_lines(cols))
 
 
-def _write_traces(fh, method, block):
-    """Append a block of traces to predictions.csv and empty it; returns the seconds taken."""
+def _write_traces(fh, method, first, positions):
+    """Append a block of traces, one (horizon, 3) array per anchor from anchor step first on,
+    to predictions.csv; returns the seconds taken."""
     tick = time.perf_counter()
-    fh.write("".join([format_csv_lines([range(1, len(tr.positions) + 1), *tr.positions.T.tolist()],
-                                       prefix=f"{tr.anchor_step},{method},")
-                      for tr in block]).encode())
-    block.clear()
+    fh.write("".join([format_csv_lines([range(1, len(trace) + 1), *trace.T.tolist()],
+                                       prefix=f"{first + i},{method},")
+                      for i, trace in enumerate(positions)]).encode())
     return time.perf_counter() - tick
 
 

@@ -14,11 +14,12 @@ from aisepred.harness import (
     config_from_dict,
     config_to_dict,
     estimate,
+    method_family,
     normalize_method,
     rmse,
     run_experiment,
 )
-from aisepred.prediction import PredictionTrace, predict
+from aisepred.prediction import DerivativeEstimate, PredictionTrace, predict, va_predict
 from aisepred.scenarios import SCENARIOS, add_noise, format_csv_lines, truth_arrays
 
 
@@ -477,15 +478,10 @@ def test_methods_reading_one_record_share_one_prediction_set(monkeypatch, truth,
                                                              calls_per_anchor):
     # With exact derivatives the three /va methods read one record, so the first
     # of them predicts for all three; estimated runs predict once per method.
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return predict(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "predict", counted)
+    predicted = []  # one trace per anchor and method predicted
+    _recording_predict(monkeypatch, kept=predicted)
     rep = run_experiment(ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL))
-    assert len(calls) == calls_per_anchor * rep.n_tilde
+    assert len(predicted) == calls_per_anchor * rep.n_tilde
     va = [rep.methods[m] for m in ("BDB/va", "ABG/va", "AISE/va")]
     if truth:
         assert va[0].tobytes() == va[1].tobytes() == va[2].tobytes()
@@ -544,38 +540,50 @@ def test_an_estimator_failure_leaves_no_artifact(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def _anchor_traces(trace):
+    """The per-anchor traces of a trace that holds one anchor or a block of them."""
+    if trace.positions.ndim == 2:
+        return [trace]
+    return [PredictionTrace(anchor_step=trace.anchor_step + i, method=trace.method,
+                            positions=positions) for i, positions in enumerate(trace.positions)]
+
+
 def _recording_predict(monkeypatch, alive_at_call=None, kept=None):
-    """Route harness.predict through a wrapper that records what each call leaves alive."""
+    """Route harness.predict (AISE/FS, one anchor a call) and harness.va_predict (a /va
+    set, a block of anchors a call) through wrappers that record, at each call, how many
+    anchors the positions of the traces made so far still hold and how many they held,
+    and keep the traces split into one per anchor."""
     refs = []
 
-    def recorded(*args, **kwargs):
-        trace = predict(*args, **kwargs)
-        refs.append(weakref.ref(trace))
-        if alive_at_call is not None:
-            alive_at_call.append(sum(ref() is not None for ref in refs))
-        if kept is not None:
-            kept.append(trace)
-        return trace
+    def recording(predictor):
+        def recorded(*args, **kwargs):
+            trace = predictor(*args, **kwargs)
+            refs.append((weakref.ref(trace.positions), len(_anchor_traces(trace))))
+            if alive_at_call is not None:
+                alive_at_call.append((sum(n for ref, n in refs if ref() is not None),
+                                      sum(n for _, n in refs)))
+            if kept is not None:
+                kept.extend(_anchor_traces(trace))
+            return trace
+        return recorded
 
-    monkeypatch.setattr(harness, "predict", recorded)
+    monkeypatch.setattr(harness, "predict", recording(predict))
+    monkeypatch.setattr(harness, "va_predict", recording(va_predict))
 
 
 @pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
-def test_no_trace_outlives_its_anchor_without_out_dir(monkeypatch, tmp_path, truth):
-    # Without artifacts only the endpoint errors are kept: at any call, at most the
-    # previous trace and the new one are alive. With them, at most one block of
-    # predictions.csv and the new trace are.
+def test_no_trace_outlives_its_block(monkeypatch, tmp_path, truth):
+    # With or without artifacts, at any call the predicted positions still alive hold
+    # at most one block of anchors, the new call's included, never a whole set.
+    monkeypatch.setattr(harness, "_PREDICTION_BLOCK_TRACES", 16)
     cfg = ExperimentConfig(scenario="helical", truth_derivatives=truth, **SMALL)
-    alive = []
-    _recording_predict(monkeypatch, alive_at_call=alive)
-    rep = run_experiment(cfg)
-    assert len(alive) == (2 if truth else 4) * rep.n_tilde
-    assert max(alive) <= 2
-    alive.clear()
-    run_experiment(cfg, out_dir=tmp_path)
-    assert len(alive) == (2 if truth else 4) * rep.n_tilde
-    assert rep.n_tilde > harness._PREDICTION_BLOCK_TRACES + 1
-    assert max(alive) <= harness._PREDICTION_BLOCK_TRACES + 1
+    for out_dir in (None, tmp_path):
+        alive = []
+        _recording_predict(monkeypatch, alive_at_call=alive)
+        rep = run_experiment(cfg, out_dir=out_dir)
+        assert alive[-1][1] == (2 if truth else 4) * rep.n_tilde
+        assert rep.n_tilde > 2 * 16
+        assert max(now for now, _ in alive) == 16
 
 
 @pytest.mark.parametrize("form", ["standard", "literal"])
@@ -595,6 +603,26 @@ def test_scores_as_predicted_match_rmse_of_the_traces(monkeypatch, truth, form):
         traces = by_method.get(method, by_method["BDB/va"])
         expected = rmse(truth_p, traces, cfg.horizon, cfg.k0, form)
         assert values.tobytes() == expected.tobytes()
+
+
+def test_va_sets_predicted_in_blocks_score_as_per_anchor_predictions():
+    # Each /va set is predicted a block of anchors per call; its RMSE has the bits of
+    # rmse() over one predict() trace per anchor. 453 anchors split into 64-anchor blocks
+    # unevenly, and neither k0 nor the horizon is the default.
+    cfg = ExperimentConfig(scenario="helical", n_steps=700, k0=211, horizon=37, seed=4,
+                           methods=("BDB/va", "ABG/va", "AISE/va"), rmse_form="literal")
+    rep = run_experiment(cfg)
+    truth_p = truth_arrays(cfg.scenario, cfg.n_steps, cfg.t_s)[0]
+    measurements = add_noise(truth_p, cfg.resolved_sigma(), cfg.seed)
+    est = estimate(measurements, cfg, {"aise", "bdb", "abg"}, jerk=False)
+    anchors = range(cfg.k0, cfg.n_steps - cfg.horizon + 1)
+    assert rep.n_tilde == len(anchors) == 453
+    for method in cfg.methods:
+        v, a = est[method_family(method)]["v"], est[method_family(method)]["a"]
+        traces = [predict(method, measurements[k], DerivativeEstimate(v[k], a[k]),
+                          cfg.horizon, cfg.t_s, anchor_step=k) for k in anchors]
+        expected = rmse(truth_p, traces, cfg.horizon, cfg.k0, "literal")
+        assert rep.methods[method].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
