@@ -175,9 +175,9 @@ def format_csv_lines(columns, prefix=""):
 
     Every artifact writer formats through here, so all share one rule: floats
     in shortest round-trip repr, ints as ints and bools as 0/1. Columns hold
-    Python numbers, as ndarray.tolist() and range give them, and each line
-    starts with the literal `prefix`.
+    Python numbers, as ndarray.tolist() and range give them; a column whose first
+    cell is an int must hold only ints (TypeError). Each line starts with `prefix`.
     """
-    fields = ["%d" if col and isinstance(col[0], int) else "%r" for col in columns]
-    line = prefix.replace("%", "%%") + ",".join(fields) + "\n"
-    return "".join([line % row for row in zip(*columns)])
+    cells = [map(int.__repr__ if col and isinstance(col[0], int) else repr, col) for col in columns]
+    text = ("\n" + prefix).join(map(",".join, zip(*cells)))
+    return f"{prefix}{text}\n" if text else ""

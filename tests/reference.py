@@ -7,6 +7,7 @@ and the polar projection's reflection test from np.linalg.det. step_record
 reads the values of one AiseFilter step from the state around it;
 information and set_information read and set a filter's RLS information
 matrix inv(P_sqrt @ P_sqrt.T), which the filter does not store.
+format_csv_lines_template formats CSV rows through one `%` template a row.
 """
 
 import math
@@ -106,3 +107,11 @@ def set_information(filt, M):
     """Give filt the RLS information matrix M: P_sqrt = L^-T for the Cholesky factor L of M."""
     L = np.linalg.cholesky(M)
     filt.P_sqrt = solve_triangular(L, np.eye(len(L)), lower=True, trans="T")
+
+
+def format_csv_lines_template(columns, prefix=""):
+    """format_csv_lines as a `%` template applied per row: "%d" for a column whose first
+    cell is an int (bools give 1/0), "%r" for any other, and `prefix` with its % escaped."""
+    fields = ["%d" if col and isinstance(col[0], int) else "%r" for col in columns]
+    line = prefix.replace("%", "%%") + ",".join(fields) + "\n"
+    return "".join([line % row for row in zip(*columns)])

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 from dataclasses import replace
 
@@ -374,3 +375,34 @@ def test_stdout_gets_the_bytes_of_the_out_file(tmp_path, capsys, argv):
     capsys.readouterr()
     assert main([command, *options]) == 0
     assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()
+
+
+# sha256 of the CLI's output on one noisy helix CSV (300 steps, sigma 0.1, seed 5).
+# The CLI formats through the artifact writers' format_csv_lines, and these pins
+# hold its bytes as the harness pins hold the artifacts'.
+PINNED_CLI_OUTPUT = {
+    ("differentiate", "--order", "1"):
+        "5975dba98fb7bc965d6f2df866e203d18656588245740664ae03e03f469caa5b",
+    ("differentiate", "--order", "2"):
+        "496e8b7b9a470f547519ce28f93ae7ae9f0bd618e88fa57c32a1464a750c2067",
+    ("differentiate", "--order", "3"):
+        "59ed5151ec95e1234cd0f5a1824e2c862efc7946f89d4dd8de165c7ca506c646",
+    ("predict", "--method", "aise-fs"):
+        "40c7729eb398b91ceb1a40b5da4a3b2d54a16fe3fe5b28d6622d0a252e2a0b36",
+    ("predict", "--method", "aise-va"):
+        "041eef4079108ae0653817c010ec67890eca333432fd676b8ff5fc1294cff76d",
+    ("predict", "--method", "bdb-va"):
+        "3d7acae8260ba7bf2f543436e49efa090ed0f57ab7c8137a730b552407f09d62",
+    ("predict", "--method", "abg-va"):
+        "341f779f499b9be1f1370c8dce2c69702b2204fabc10ba8d912002268fe643cd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CLI_OUTPUT), ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_cli_output_bytes_are_pinned(tmp_path, argv):
+    t_s = 0.01
+    P = add_noise(truth_arrays("helical", 300, t_s)[0], 0.1, 5)
+    write_csv(tmp_path / "in.csv", np.arange(301) * t_s, {"x": P[:, 0], "y": P[:, 1], "z": P[:, 2]})
+    command, *options = argv
+    assert main([command, str(tmp_path / "in.csv"), *options, "--out", str(tmp_path / "out.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == PINNED_CLI_OUTPUT[argv]

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aisepred.scenarios import (
     add_noise,
@@ -12,6 +14,7 @@ from aisepred.scenarios import (
     truth_arrays,
 )
 from aisepred.scenarios import _helical_state, _parabolic_state
+from reference import format_csv_lines_template
 
 
 def test_parabolic_launch_state():
@@ -128,6 +131,36 @@ def test_csv_number_format():
     assert lines[0] == "5,AISE/FS,7,0.1,1"
     assert [line.split(",")[3] for line in lines] == [repr(float(v)) for v in values]
     assert lines[5] == "5,AISE/FS,12,0.3333333333333333,0"
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308, 1e16, 1e-5])
+INTS = st.integers(-2**70, 2**70) | st.sampled_from([-1, 0, 2**63 - 1, 2**63, 2**64 + 1])
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one length as the writers pass them: lists of floats, ints or bools, and ranges."""
+    n = draw(st.integers(0, 6))
+    start = draw(st.integers(-5, 10**6))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bool", "range"]), min_size=1, max_size=5))
+    cells = {"float": FLOATS, "int": INTS, "bool": st.booleans()}
+    return [range(start, start + n) if kind == "range" else draw(st.lists(cells[kind], min_size=n, max_size=n))
+            for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=csv_columns(), prefix=st.text(alphabet="%,sd7AISE/\t ", max_size=8))
+def test_csv_lines_match_the_percent_template(columns, prefix):
+    assert format_csv_lines(columns, prefix) == format_csv_lines_template(columns, prefix)
+
+
+@pytest.mark.parametrize("column", [[1, 2.5], [True, 0.5]], ids=["int", "bool"])
+def test_a_float_in_an_int_column_is_a_type_error(column):
+    # A column takes its type from its first cell; the % template's %d truncated 2.5 to 2.
+    assert format_csv_lines_template([column]).splitlines()[1] == str(int(column[1]))
+    with pytest.raises(TypeError):
+        format_csv_lines([range(2), column])
 
 
 def test_positions_csv_requires_xyz_header():
