@@ -196,29 +196,14 @@ def _beta_cf(x, a, b, d0):
         m += 1
 
 
-def _tail_exceeds(x0, x1, dfn, dfd, pn, pd):
-    """Whether 1 - I_x(dfn / 2, dfd / 2) > pn / pd at x = (x0 + x1) / 2, exactly, for even dfn.
-
-    The tail is (1 - x)^(dfd / 2) * sum_{j<dfn/2} (dfd / 2)_j / j! * x^j, the sum h / k by Horner;
-    both sides are squared so that an odd dfd needs no root. pd is a power of 2.
-    """
-    (m0, d0), (m1, d1) = x0.as_integer_ratio(), x1.as_integer_ratio()
-    big = max(d0, d1)
-    m, e = m0 * (big // d0) + m1 * (big // d1), big.bit_length()  # x = m / 2**e
-    h = k = 1
-    for j in range(dfn // 2 - 1, 0, -1):
-        h, k = (2 * j * k << e) + m * (dfd + 2 * j - 2) * h, 2 * j * k << e
-    return ((2**e - m) ** dfd * h * h) << 2 * (pd.bit_length() - 1) > (pn * k) ** 2 << e * dfd
-
-
 def f_critical(dfn, dfd, quantile=0.99):
     """Upper quantile of the F(dfn, dfd) distribution, dfd * w / (dfn * (1 - w)).
 
     w solves I_w(dfn / 2, dfd / 2) = quantile (I the regularized incomplete beta) by Halley's
-    method in a shrinking bracket, I being the density times Lentz's continued fraction. For
-    even dfn the upper tail is a finite sum that tells exactly on which side of the root each
-    midpoint between neighbouring doubles lies, so w is the double nearest the root (scipy's
-    betaincinv value at the default). For odd dfn F is within about 1e-14 of exact, relative.
+    method in a shrinking bracket, I being the density times Lentz's continued fraction; about
+    20 us at F(4, 24), 1.5 ms at dfd = 1e4. Against the exact tail (even dfn, quantile 0.95 to
+    0.999) w is at most 8 doubles from the double nearest the root up to dfd = 200 (scipy's
+    betaincinv double at the default) and dfd / 30 beyond. F(1, 1e4) at 0.95 is 1.6e-13 off.
     """
     if not all(isinstance(df, numbers.Integral) and df >= 1 for df in (dfn, dfd)):
         raise ValueError(f"degrees of freedom must be positive integers, got {dfn!r} and {dfd!r}")
@@ -245,12 +230,6 @@ def f_critical(dfn, dfd, quantile=0.99):
         if not lo < new < hi:  # converged (x is lo or hi), or no double is left inside
             break
         x = new
-    if dfn % 2 == 0:  # move to the double nearest the root; the tail falls as x grows
-        qn, qd = q.as_integer_ratio()
-        while not _tail_exceeds(x, math.nextafter(x, 0.0), dfn, dfd, qd - qn, qd):
-            x = math.nextafter(x, 0.0)
-        while _tail_exceeds(x, math.nextafter(x, 1.0), dfn, dfd, qd - qn, qd):
-            x = math.nextafter(x, 1.0)
     return dfd * x / (dfn * (1.0 - x))
 
 

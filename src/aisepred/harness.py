@@ -29,7 +29,7 @@ from .aise import AiseConfig, AiseFilter, benchmark_config, from_fields, json_ob
 from .baselines import AbgFilter, BdbDifferentiator, abg_gains, check_butterworth_design
 from .frenet import DegenerateGeometry, scalar_params
 from .integrators import check_sample_time
-from .prediction import METHODS, DerivativeEstimate, predict, va_predict
+from .prediction import METHODS, DerivativeEstimate, predict
 from .scenarios import (SCENARIOS, add_noise, format_csv_lines, read_positions_csv, sample_time,
                         truth_arrays)
 
@@ -298,8 +298,9 @@ def run_experiment(config, out_dir=None):
                         predict(method, measurements[k], DerivativeEstimate(v[k], a[k], j[k]),
                                 h, t_s, anchor_step=k).positions for k in range(lo, hi)])
                 else:  # one broadcast per block
-                    positions = va_predict(measurements[lo:hi], v[lo:hi], a[lo:hi], h, t_s,
-                                           anchor_step=lo, method=method).positions
+                    positions = predict(method, measurements[lo:hi],
+                                        DerivativeEstimate(v[lo:hi], a[lo:hi]), h, t_s,
+                                        anchor_step=lo).positions
                 errors[lo - first_anchor : hi - first_anchor] = (
                     P[lo + h : hi + h] - positions[:, h - 1])
                 if out_dir is not None:

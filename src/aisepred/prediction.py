@@ -75,8 +75,9 @@ def va_predict(p_k, v_k, a_k, horizon, t_s, anchor_step=0, method="AISE/va",
 def predict(method, p_k, estimates, horizon, t_s, anchor_step=0):
     """Dispatch to the predictor selected by `method` (one of METHODS).
 
-    Frenet prediction requires a jerk estimate and falls back to the
-    second-order extrapolation when the local geometry is degenerate.
+    Frenet prediction takes one anchor and a jerk estimate, and falls back to the
+    second-order extrapolation when the local geometry is degenerate. The /va methods
+    also take a block of anchors stacked along a leading axis, as va_predict does.
     """
     if method not in METHODS:
         raise ValueError(f"unknown prediction method {method!r}; expected one of {METHODS}")

@@ -8,9 +8,12 @@ reads the values of one AiseFilter step from the state around it;
 information and set_information read and set a filter's RLS information
 matrix inv(P_sqrt @ P_sqrt.T), which the filter does not store.
 format_csv_lines_template formats CSV rows through one `%` template a row.
+f_upper_tail_squared is the exact upper tail of the beta distribution behind
+f_critical, from its finite sum in fractions.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,3 +118,19 @@ def format_csv_lines_template(columns, prefix=""):
     fields = ["%d" if col and isinstance(col[0], int) else "%r" for col in columns]
     line = prefix.replace("%", "%%") + ",".join(fields) + "\n"
     return "".join([line % row for row in zip(*columns)])
+
+
+def f_upper_tail_squared(x, dfn, dfd):
+    """(1 - I_x(dfn / 2, dfd / 2))**2 as an exact Fraction, for even dfn.
+
+    The upper tail of Beta(dfn / 2, dfd / 2) at x is the finite sum
+    (1 - x)^(dfd / 2) * sum_{j < dfn / 2} (dfd / 2)_j / j! * x^j; it is squared so that
+    an odd dfd needs no root.
+    """
+    if dfn % 2:
+        raise ValueError(f"the finite sum needs an even dfn, got {dfn}")
+    x = Fraction(x)
+    total, term = Fraction(0), Fraction(1)
+    for j in range(dfn // 2):
+        total, term = total + term, term * (Fraction(dfd, 2) + j) / (j + 1) * x
+    return (1 - x) ** dfd * total**2

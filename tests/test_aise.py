@@ -7,20 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from aisepred.aise import (
     AiseConfig,
     AiseFilter,
-    _tail_exceeds,
     benchmark_config,
     f_critical,
     from_fields,
     vrf_lambda,
 )
-from reference import information, set_information, step_record
+from reference import f_upper_tail_squared, information, set_information, step_record
 
 
 def make_filter(**overrides):
@@ -226,21 +225,61 @@ def test_f_critical_default_is_scipys_double():
     assert AiseFilter()._f_crit == 4.218445267356267
 
 
-@settings(max_examples=200, deadline=None)
-@given(half_dfn=st.integers(1, 20), dfd=st.integers(1, 200), x=st.floats(1e-4, 0.9),
-       up=st.booleans())
-def test_tail_test_is_exact_at_a_near_tie(half_dfn, dfd, x, up):
-    # The upper tail of Beta(dfn / 2, dfd / 2) at the midpoint of x and a neighbouring double,
-    # in fractions, against a bound p that is the double nearest that tail: the two differ
-    # only in the last bits, which the integer test must still order.
-    x1 = math.nextafter(x, 1.0 if up else 0.0)
-    mid = (Fraction(x) + Fraction(x1)) / 2
-    total, term = Fraction(0), Fraction(1)
-    for j in range(half_dfn):
-        total, term = total + term, term * (Fraction(dfd, 2) + j) / (j + 1) * mid
-    tail_squared = (1 - mid) ** dfd * total**2
-    p = Fraction(math.sqrt(tail_squared))
-    assert _tail_exceeds(x, x1, 2 * half_dfn, dfd, *p.as_integer_ratio()) == (tail_squared > p * p)
+def test_f_critical_keeps_the_doubles_of_the_pinned_configs():
+    # The forgetting thresholds of long-vrf-o2 (tau 9 / 40) and small-window-o3 (3 / 30), whose
+    # step digests test_aise_robustness pins, and of its 3 / 12 window: each is the double the
+    # iteration gave when the digests were recorded.
+    assert (f_critical(8, 39), f_critical(2, 29), f_critical(2, 11)) == (
+        3.0064384617979205, 5.42044504030731, 7.205713350457377)
+
+
+def _f_critical_within(dfn, dfd, quantile, ulps):
+    """Whether f_critical(dfn, dfd, quantile) is dfd * w / (dfn * (1 - w)) for a double w
+    at most `ulps` doubles from the double nearest the root of I_w(dfn / 2, dfd / 2) =
+    quantile, the root placed by the exact upper tail (even dfn)."""
+    f = f_critical(dfn, dfd, quantile)
+    w = dfn * f / (dfd + dfn * f)
+    for _ in range(16):
+        w = math.nextafter(w, 0.0)
+    candidates = []
+    for _ in range(33):
+        if dfd * w / (dfn * (1.0 - w)) == f:
+            candidates.append(w)
+        w = math.nextafter(w, 1.0)
+    assert candidates, "no double w gives the returned F"
+    lo, hi = candidates[0], candidates[-1]
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+    # The double nearest the root lies in [lo, hi] if the root lies between the midpoints
+    # that bound that range.
+    lo = (Fraction(lo) + Fraction(math.nextafter(lo, 0.0))) / 2
+    hi = (Fraction(hi) + Fraction(math.nextafter(hi, 1.0))) / 2
+    tail_squared = (1 - Fraction(quantile)) ** 2  # the tail falls as w grows
+    return f_upper_tail_squared(lo, dfn, dfd) >= tail_squared >= f_upper_tail_squared(hi, dfn, dfd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half_dfn=st.integers(1, 20), dfd=st.integers(3, 200),
+       quantile=st.sampled_from([0.95, 0.99, 0.999]))
+@example(half_dfn=2, dfd=166, quantile=0.95)  # 8 doubles off, the most on the grid
+@example(half_dfn=2, dfd=24, quantile=0.99)   # the default config's F(4, 24)
+def test_f_critical_is_within_8_ulps_of_the_root_for_even_dfn(half_dfn, dfd, quantile):
+    # The grid of test_f_critical_matches_scipy (dfd > dfn): w is the double nearest the
+    # root in 6416 of its 10740 even-dfn cases, and never more than 8 doubles from it.
+    assume(dfd > 2 * half_dfn)
+    assert _f_critical_within(2 * half_dfn, dfd, quantile, 8)
+
+
+@pytest.mark.parametrize("dfn, dfd, quantile", [
+    (2, 1000, 0.99), (40, 1000, 0.999), (8, 1001, 0.95),
+    (2, 10000, 0.95), (10, 10000, 0.95), (16, 9999, 0.99), (40, 10001, 0.999),
+])
+def test_f_critical_error_grows_with_dfd(dfn, dfd, quantile):
+    # The iteration's residual loses accuracy as dfd grows: over even dfn 2-40 and the three
+    # quantiles w was at most 22 doubles off at dfd 1001 and 313 at 1e4 (F(10, 1e4), 0.95),
+    # within dfd / 30. Only the exact tail places the root to the double: scipy's quantile is
+    # hundreds of doubles off it on the grid of test_f_critical_matches_scipy already.
+    assert _f_critical_within(dfn, dfd, quantile, dfd // 30)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ from aisepred.harness import (
     rmse,
     run_experiment,
 )
-from aisepred.prediction import DerivativeEstimate, PredictionTrace, predict, va_predict
+from aisepred.prediction import DerivativeEstimate, PredictionTrace, predict
 from aisepred.scenarios import SCENARIOS, add_noise, format_csv_lines, truth_arrays
 
 
@@ -549,26 +549,23 @@ def _anchor_traces(trace):
 
 
 def _recording_predict(monkeypatch, alive_at_call=None, kept=None):
-    """Route harness.predict (AISE/FS, one anchor a call) and harness.va_predict (a /va
-    set, a block of anchors a call) through wrappers that record, at each call, how many
-    anchors the positions of the traces made so far still hold and how many they held,
-    and keep the traces split into one per anchor."""
+    """Route harness.predict (AISE/FS one anchor a call, a /va set a block of anchors a
+    call) through a wrapper that records, at each call, how many anchors the positions
+    of the traces made so far still hold and how many they held, and keep the traces
+    split into one per anchor."""
     refs = []
 
-    def recording(predictor):
-        def recorded(*args, **kwargs):
-            trace = predictor(*args, **kwargs)
-            refs.append((weakref.ref(trace.positions), len(_anchor_traces(trace))))
-            if alive_at_call is not None:
-                alive_at_call.append((sum(n for ref, n in refs if ref() is not None),
-                                      sum(n for _, n in refs)))
-            if kept is not None:
-                kept.extend(_anchor_traces(trace))
-            return trace
-        return recorded
+    def recorded(*args, **kwargs):
+        trace = predict(*args, **kwargs)
+        refs.append((weakref.ref(trace.positions), len(_anchor_traces(trace))))
+        if alive_at_call is not None:
+            alive_at_call.append((sum(n for ref, n in refs if ref() is not None),
+                                  sum(n for _, n in refs)))
+        if kept is not None:
+            kept.extend(_anchor_traces(trace))
+        return trace
 
-    monkeypatch.setattr(harness, "predict", recording(predict))
-    monkeypatch.setattr(harness, "va_predict", recording(va_predict))
+    monkeypatch.setattr(harness, "predict", recorded)
 
 
 @pytest.mark.parametrize("truth", [True, False], ids=["truth", "estimated"])
